@@ -1,10 +1,10 @@
 # Convenience targets; everything is plain `go` underneath.
 # Run `make help` for the list.
 
-.PHONY: help check test race chaos chaos-ha chaos-pool chaos-foreman gate bench bench-sched bench-recovery bench-warm bench-ha bench-gate bench-pool bench-foreman journal-fuzz verify paper examples tidy
+.PHONY: help check test race chaos chaos-ha chaos-pool chaos-foreman gate bench bench-sched bench-perf journal-fuzz verify paper examples tidy
 
 help:                 ## list targets
-	@grep -E '^[a-z]+: *##' $(MAKEFILE_LIST) | awk -F': *## *' '{printf "  %-10s %s\n", $$1, $$2}'
+	@grep -E '^[a-z-]+: *##' $(MAKEFILE_LIST) | awk -F': *## *' '{printf "  %-14s %s\n", $$1, $$2}'
 
 check:                ## full gate: vet + build + tests + full race pass + chaos smoke (use before sending a PR)
 	go vet ./...
@@ -41,23 +41,11 @@ bench:                ## one benchmark per table/figure, reduced scale
 bench-sched:          ## compare placement policies (locality/binpack/spread/random) on DV3-Medium
 	go run ./cmd/vinebench -scale 0.25 sched
 
-bench-recovery:       ## recovery overhead: faulted vs fault-free live run, bit-identical histograms
-	go run ./cmd/vinebench -scale 0.25 recovery
-
-bench-warm:           ## warm restart: cold vs warm vs crash-resume on DV3, tasks re-executed + wall-clock ratio
-	go run ./cmd/vinebench -scale 0.25 warm
-
-bench-ha:             ## hot-standby failover: takeover latency + re-executed tasks vs fault-free baseline
-	go run ./cmd/vinebench -scale 0.25 ha
-
-bench-gate:           ## multi-tenant gate: submissions/sec + p50/p99 submit-to-first-dispatch latency over HTTP
-	go run ./cmd/vinebench -scale 0.25 gate
-
-bench-pool:           ## elastic vs fixed pools under preemption: makespan, re-executed work, pool size over time
-	go run ./cmd/vinebench -scale 0.25 pool
-
-bench-foreman:        ## hierarchical foremen: tiny-task dispatch throughput flat vs 2/4-foreman trees + cross-shard bytes
-	go run ./cmd/vinebench -scale 0.25 foreman
+bench-perf:           ## standing live-plane benchmark: every BENCHMARK.json workload once into bench-perf.json; compare two with `go run ./benchmark -compare A B`
+	rm -f bench-perf.json
+	for w in $$(awk '/"workloads"/{on=1} on&&/"name"/{gsub(/[",]/,"",$$2); print $$2} on&&/^  \]/{exit}' BENCHMARK.json); do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 15 --trace 0 --out bench-perf.json || exit 1; \
+	done
 
 journal-fuzz:         ## journal frame-corruption fuzz with randomized seeds (pin one with JOURNAL_FUZZ_SEED=n)
 	JOURNAL_FUZZ_SEED=$${JOURNAL_FUZZ_SEED:-0} go test -count=8 -v -run TestFrameCorruptionFuzz ./internal/journal/

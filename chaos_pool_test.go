@@ -59,7 +59,7 @@ func elasticWorkload(t *testing.T) (*dag.Graph, dag.Key) {
 // the next distinct worker to finish a processor task gets a 1ms window
 // that is guaranteed to blow before its freshly produced sole-replica
 // output can move.
-func runElastic(t *testing.T, seed uint64, preempt bool) ([]byte, vine.ManagerStats, *obs.Recorder, int) {
+func runElastic(t *testing.T, seed uint64, preempt bool) ([]byte, vine.ManagerStats, *obs.Recorder, *pool.Autoscaler) {
 	t.Helper()
 	apps.RegisterProcessors()
 	if err := vine.RegisterLibrary(daskvine.NewLibrary(20 * time.Millisecond)); err != nil {
@@ -145,7 +145,7 @@ func runElastic(t *testing.T, seed uint64, preempt bool) ([]byte, vine.ManagerSt
 	if met == nil || met.Entries == 0 {
 		t.Fatalf("empty MET histogram (preempt=%v)", preempt)
 	}
-	return met.Marshal(), mgr.Stats(), rec, scaler.Peak()
+	return met.Marshal(), mgr.Stats(), rec, scaler
 }
 
 // TestChaosElasticPreemptionSoak is the PR 9 acceptance soak: an
@@ -158,16 +158,24 @@ func TestChaosElasticPreemptionSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	base, _, _, basePeak := runElastic(t, 7, false)
-	if basePeak <= 2 {
-		t.Fatalf("baseline pool peaked at %d; autoscaler never grew above its floor", basePeak)
+	base, _, _, baseScaler := runElastic(t, 7, false)
+	if peak := baseScaler.Peak(); peak <= 2 {
+		t.Fatalf("baseline pool peaked at %d; autoscaler never grew above its floor", peak)
 	}
-	got, st, rec, peak := runElastic(t, 7, true)
+	got, st, rec, scaler := runElastic(t, 7, true)
 	if !bytes.Equal(base, got) {
 		t.Fatalf("preempted run diverged from fault-free run: %d vs %d bytes", len(base), len(got))
 	}
-	if peak <= 2 {
+	if peak := scaler.Peak(); peak <= 2 {
 		t.Fatalf("preempted pool peaked at %d; autoscaler never grew above its floor", peak)
+	}
+	// The autoscaler converges rather than oscillates: a handful of
+	// cooldown-gated jumps (plus floor repair after the preemptions), not
+	// a launch per poll.
+	for pass, a := range map[string]*pool.Autoscaler{"baseline": baseScaler, "preempted": scaler} {
+		if ups, _ := a.ScaleEvents(); ups > 4 {
+			t.Fatalf("%s pass: autoscaler oscillated (%d scale-ups in one run)", pass, ups)
+		}
 	}
 	if st.Preemptions < 2 {
 		t.Fatalf("Preemptions = %d, want >= 2 (one graceful, one blown)", st.Preemptions)

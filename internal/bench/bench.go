@@ -68,7 +68,7 @@ func register(e Experiment) { registry = append(registry, e) }
 var paperOrder = []string{
 	"table1", "table2", "fig7", "fig8", "fig9", "fig10",
 	"fig11", "fig12", "fig13", "fig14a", "fig14b", "fig15",
-	"ablation-cap", "ablation-fanin", "sched", "recovery", "warm", "ha", "gate", "pool", "foreman", "verify",
+	"ablation-cap", "ablation-fanin", "sched", "verify",
 }
 
 // All lists experiments in paper order.

@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -17,6 +20,36 @@ func TestRegistryCompleteAndOrdered(t *testing.T) {
 		}
 		if e.Title == "" || e.Paper == "" || e.Run == nil {
 			t.Fatalf("experiment %s incomplete", e.ID)
+		}
+	}
+}
+
+// The live plane is measured by the standing benchmark (benchmark/,
+// workloads named in BENCHMARK.json); vinebench keeps only what that
+// does not cover. No experiment id may name a benchmark workload, or the
+// first word of one ("gate" for "gate-open").
+func TestNoDuplicateLiveBench(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		Workloads []struct{ Name string }
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Workloads) == 0 {
+		t.Fatal("BENCHMARK.json names no workloads")
+	}
+	taken := map[string]string{}
+	for _, w := range spec.Workloads {
+		taken[w.Name] = w.Name
+		taken[strings.SplitN(w.Name, "-", 2)[0]] = w.Name
+	}
+	for _, id := range paperOrder {
+		if w, ok := taken[id]; ok {
+			t.Errorf("experiment %q duplicates benchmark workload %q", id, w)
 		}
 	}
 }

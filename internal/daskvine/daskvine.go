@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"hepvine/internal/coffea"
@@ -151,8 +152,15 @@ func Run(m *vine.Manager, g *dag.Graph, root dag.Key, opts Options) (*coffea.His
 
 	// Submit in topological order so every input cachename is known.
 	handles := make(map[dag.Key]*vine.TaskHandle, g.Len())
+	// Every OnTaskDone for a node that completed before Run returns is
+	// delivered before Run returns: the watchers re-check their handle
+	// after done closes, and Run waits for them all.
 	done := make(chan struct{})
-	defer close(done)
+	var watchers sync.WaitGroup
+	defer func() {
+		close(done)
+		watchers.Wait()
+	}()
 	for _, k := range g.Topo() {
 		task := g.Task(k)
 		var vt vine.Task
@@ -217,12 +225,19 @@ func Run(m *vine.Manager, g *dag.Graph, root dag.Key, opts Options) (*coffea.His
 		}
 		if opts.OnTaskDone != nil {
 			key, hh := k, h
+			watchers.Add(1)
 			go func() {
+				defer watchers.Done()
 				select {
 				case <-hh.Done():
-					opts.OnTaskDone(key, hh)
 				case <-done:
+					select {
+					case <-hh.Done():
+					default:
+						return
+					}
 				}
+				opts.OnTaskDone(key, hh)
 			}()
 		}
 	}

@@ -46,12 +46,19 @@ var setupOnce sync.Once
 
 func setup(t *testing.T) []coffea.Chunk {
 	t.Helper()
+	return dataset(t, "dvtest", 100)
+}
+
+// dataset writes a seeded 3×400-event dataset and cuts it into chunks of
+// chunkEvents events.
+func dataset(t *testing.T, name string, chunkEvents int64) []coffea.Chunk {
+	t.Helper()
 	setupOnce.Do(func() {
 		coffea.Register(dvProc{})
 		vine.MustRegisterLibrary(NewLibrary(0))
 	})
 	paths, err := rootio.WriteDataset(t.TempDir(), rootio.DatasetSpec{
-		Name: "dvtest", Files: 3, EventsPerFile: 400, BasketSize: 100,
+		Name: name, Files: 3, EventsPerFile: 400, BasketSize: 100,
 		Gen: rootio.GenOptions{Seed: 21},
 	})
 	if err != nil {
@@ -61,7 +68,7 @@ func setup(t *testing.T) []coffea.Chunk {
 	for i, p := range paths {
 		infos[i] = coffea.FileInfo{Path: p, NEvents: 400}
 	}
-	chunks, err := coffea.Partition("dvtest", infos, 100)
+	chunks, err := coffea.Partition(name, infos, chunkEvents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +226,52 @@ func TestRunSurvivesWorkerKill(t *testing.T) {
 		t.Log("worker was never killed (run finished too fast); rerunning assertion anyway")
 	}
 	assertMatchesLocal(t, got, chunks)
+}
+
+// Every node's OnTaskDone fires exactly once, and before Run returns —
+// including the nodes whose completion races the root's.
+func TestRunDeliversEveryCallback(t *testing.T) {
+	chunks := dataset(t, "cbtest", 40)
+	g, root, err := coffea.BuildGraph("dv-test", chunks, coffea.GraphOptions{FanIn: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() < 50 {
+		t.Fatalf("graph has %d nodes, want >= 50", g.Len())
+	}
+	for run := 0; run < 20; run++ {
+		m := cluster(t, 2, 2)
+		var mu sync.Mutex
+		fired := map[dag.Key]int{}
+		var returned, late atomic.Bool
+		_, err := Run(m, g, root, Options{
+			Mode: vine.ModeFunctionCall, Timeout: 60 * time.Second,
+			OnTaskDone: func(k dag.Key, h *vine.TaskHandle) {
+				time.Sleep(time.Millisecond) // a callback doing real work must still finish first
+				if returned.Load() {
+					late.Store(true)
+				}
+				mu.Lock()
+				fired[k]++
+				mu.Unlock()
+			},
+		})
+		returned.Store(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		for _, k := range g.Topo() {
+			if fired[k] != 1 {
+				t.Fatalf("run %d: node %s callback fired %d times before Run returned", run, k, fired[k])
+			}
+		}
+		mu.Unlock()
+		if late.Load() {
+			t.Fatalf("run %d: a callback fired after Run returned", run)
+		}
+		m.Stop()
+	}
 }
 
 func TestRunMultiDataset(t *testing.T) {

@@ -101,6 +101,34 @@ func TestFederationEcho(t *testing.T) {
 	}
 }
 
+// TestFederationLeaseBatching floods the root with independent tasks:
+// placements must coalesce into batched lease frames, so the root sends
+// fewer frames than it places tasks.
+func TestFederationLeaseBatching(t *testing.T) {
+	fed := newFed(t, 2, 1)
+	const tasks = 64
+	hs := make([]*vine.TaskHandle, tasks)
+	for i := range hs {
+		h, err := fed.Root.SubmitFunc(vine.ModeTask, "fedlib", "echo", []byte(fmt.Sprint(i)), "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = h
+	}
+	for i, h := range hs {
+		if err := h.Wait(15 * time.Second); err != nil {
+			t.Fatalf("task %d: %v", i, err)
+		}
+	}
+	st := fed.Root.FederationStats()
+	if st.LeaseGrants < tasks {
+		t.Fatalf("%d lease grants for %d tasks: %+v", st.LeaseGrants, tasks, st)
+	}
+	if st.LeaseBatches >= tasks {
+		t.Fatalf("%d root lease frames for %d tasks — lease batching is off", st.LeaseBatches, tasks)
+	}
+}
+
 // TestFederationCrossShardTickets pins the data-plane property: a
 // consumer leased to the shard that does not hold its input gets a
 // peer-transfer ticket and pulls the bytes worker-to-worker, visible as

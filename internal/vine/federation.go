@@ -224,7 +224,6 @@ func (m *Manager) flushLeaseRemainder() {
 }
 
 func (m *Manager) sendLeaseBatchLocked(w *workerState, batch []leaseEntryWire) {
-	m.controlFrameLocked()
 	w.conn.send(&message{Type: msgLease, Lease: &leaseBatchMsg{Leases: batch}})
 	m.met.leaseBatches.Inc()
 	m.met.leaseGrants.Add(int64(len(batch)))
@@ -243,7 +242,6 @@ func (m *Manager) onForemanReport(wid int, rep *foremanReportMsg) {
 	if w == nil || !w.foreman {
 		return
 	}
-	m.controlFrameLocked()
 	m.met.foremanReports.Inc()
 	w.backlog = rep.Backlog
 	for i := range rep.Done {
@@ -817,10 +815,12 @@ func (l *ForemanLink) reconnect(old *conn) bool {
 	var nc *conn
 	dialed := -1
 	for i := 1; i <= attempts && nc == nil; i++ {
+		t := time.NewTimer(backoff)
 		select {
 		case <-l.doneC:
-		case <-time.After(backoff):
+		case <-t.C:
 		}
+		t.Stop()
 		select {
 		case <-l.doneC:
 			// Closed while waiting; give up without dialing.

@@ -183,9 +183,11 @@ func (h *TaskHandle) Wait(timeout time.Duration) error {
 	if timeout <= 0 {
 		<-h.doneC
 	} else {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
 		select {
 		case <-h.doneC:
-		case <-time.After(timeout):
+		case <-t.C:
 			return fmt.Errorf("vine: task %d timed out after %v", h.ID, timeout)
 		}
 	}
@@ -519,7 +521,6 @@ type Manager struct {
 	backoffBase     time.Duration
 	backoffMax      time.Duration
 	recoveryTimeout time.Duration
-	ctrlOverhead    time.Duration // modelled cost per task-path control frame
 
 	stopC chan struct{} // closed by Stop; exits the monitor goroutine
 
@@ -609,7 +610,6 @@ func NewManager(options ...Option) (*Manager, error) {
 		met:             newManagerMetrics(reg),
 		nc:              c.netConfig(),
 		hbInterval:      c.hbInterval,
-		ctrlOverhead:    c.controlOverhead,
 		hbTimeout:       c.hbTimeout,
 		taskDeadline:    c.taskDeadline,
 		backoffBase:     c.backoffBase,
@@ -1036,6 +1036,8 @@ func (m *Manager) SubmitFunc(mode TaskMode, library, fn string, args []byte, out
 // from another, falling back to rollback when no clean copy remains.
 func (m *Manager) FetchBytes(name CacheName) ([]byte, error) {
 	deadline := time.Now().Add(m.recoveryTimeout)
+	expired := time.NewTimer(m.recoveryTimeout)
+	defer expired.Stop()
 	badFetches := 0
 	for {
 		m.mu.Lock()
@@ -1084,7 +1086,7 @@ func (m *Manager) FetchBytes(name CacheName) ([]byte, error) {
 			m.mu.Unlock()
 			select {
 			case <-ch:
-			case <-time.After(time.Until(deadline)):
+			case <-expired.C:
 				return nil, fmt.Errorf("vine: recovery of %s timed out after %v", name, m.recoveryTimeout)
 			}
 			continue
@@ -1111,10 +1113,12 @@ func (m *Manager) FetchBytes(name CacheName) ([]byte, error) {
 		m.mu.Lock()
 		ch := m.change
 		m.mu.Unlock()
+		t := time.NewTimer(50 * time.Millisecond)
 		select {
 		case <-ch:
-		case <-time.After(50 * time.Millisecond):
+		case <-t.C:
 		}
+		t.Stop()
 	}
 }
 
@@ -1695,7 +1699,6 @@ func (m *Manager) dispatchLocked(rec *taskRecord) {
 	for _, out := range rec.spec.Outputs {
 		d.Outputs = append(d.Outputs, fileRefWire{Name: out, CacheName: string(rec.handle.outputs[out])})
 	}
-	m.controlFrameLocked()
 	w.conn.send(&message{Type: msgDispatch, Dispatch: d})
 }
 
@@ -1922,18 +1925,7 @@ func (m *Manager) promoteWaitersLocked() {
 func (m *Manager) onTaskDone(wid int, msg *taskDoneMsg) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.controlFrameLocked()
 	m.onTaskDoneLocked(wid, msg)
-}
-
-// controlFrameLocked charges the modelled per-control-frame cost inside
-// the manager lock, serializing frame handling the way a production
-// manager's single-threaded event loop does. A no-op unless the manager
-// was built WithControlOverhead.
-func (m *Manager) controlFrameLocked() {
-	if m.ctrlOverhead > 0 {
-		time.Sleep(m.ctrlOverhead)
-	}
 }
 
 // onTaskDoneLocked folds one completion into the task and replica tables —

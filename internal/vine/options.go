@@ -68,9 +68,6 @@ type config struct {
 	hbInterval time.Duration
 	hbTimeout  time.Duration
 
-	// Modelled per-control-frame cost (see WithControlOverhead).
-	controlOverhead time.Duration
-
 	// Manager retry/deadline/recovery policy.
 	backoffBase     time.Duration
 	backoffMax      time.Duration
@@ -248,19 +245,6 @@ func WithHeartbeat(interval, timeout time.Duration) Option {
 		}
 		c.hbTimeout = timeout
 	}
-}
-
-// WithControlOverhead charges d of serialized manager time per task-path
-// control frame (dispatch, completion, lease, report), modelling the
-// fixed per-message cost of a production manager's single-threaded event
-// loop — protocol handling, accounting, logging — that a fast loopback
-// harness otherwise hides. Like Library.SetupDelay for task setup, it
-// lets benches recreate the dispatch-saturation regime the paper's
-// foreman tier addresses: frames charge inside the manager lock, so a
-// flat manager pays per task while a federation root pays only per
-// batched lease or report frame (manager; default 0 = off).
-func WithControlOverhead(d time.Duration) Option {
-	return func(c *config) { c.controlOverhead = d }
 }
 
 // WithTaskDeadline bounds one execution attempt of every task that does

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -912,6 +913,34 @@ func TestHandleWaitTimeout(t *testing.T) {
 	}
 	if h.State() != TaskReady {
 		t.Fatalf("state = %v", h.State())
+	}
+}
+
+// A Wait that returns on completion must release its timeout timer: an
+// unstopped hour-long timer stays on the heap until it fires.
+func TestHandleWaitReleasesTimer(t *testing.T) {
+	m, _ := newCluster(t, 1, 1)
+	h, err := m.SubmitFunc(ModeTask, "testlib", "echo", []byte("x"), "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Wait(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < 5000; i++ {
+		if err := h.Wait(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown := int64(heap()) - int64(before); grown > 256<<10 {
+		t.Fatalf("live heap grew %d bytes over 5000 completed Waits", grown)
 	}
 }
 

@@ -342,10 +342,12 @@ func (w *Worker) reconnect(old *conn) bool {
 	for i := 1; i <= attempts; i++ {
 		// Back off before every attempt: even an immediately-successful
 		// dial against a half-up manager shouldn't spin.
+		t := time.NewTimer(backoff)
 		select {
 		case <-w.doneC:
-		case <-time.After(backoff):
+		case <-t.C:
 		}
+		t.Stop()
 		// Cycle the manager address list, starting from the last address
 		// known good: attempt 1 retries the primary, later attempts rotate
 		// through the standbys, so a failover lands within one lap.
