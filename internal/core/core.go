@@ -1,131 +1,18 @@
-// Package core holds the TaskVine scheduling core in transport-agnostic
-// form: the replica table that tracks where every file lives, the
-// data-locality placement policy, and the peer-transfer governor. The live
-// engine (internal/vine) implements the same policies over TCP; the
-// simulation plane (internal/vinesim) composes these directly. Keeping them
-// in one package makes the simulated scheduler's behaviour reviewable
-// against the live one.
-//
-// It also defines the workload vocabulary shared by the application models
-// (internal/apps) and the simulator: SimSpec task payloads and Workload
-// bundles.
+// Package core is the simulation plane's vocabulary: the workload types
+// shared by the application models (internal/apps) and the simulator
+// (internal/vinesim) — SimSpec task payloads and Workload bundles — plus
+// the simulator's peer-transfer governor. The replica table and placement
+// policies both planes share live in internal/sched.
 package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"hepvine/internal/dag"
 	"hepvine/internal/storage"
 	"hepvine/internal/units"
 )
-
-// ---- replica table ----
-
-// ReplicaTable tracks which nodes hold which files (§IV.B: "The manager
-// maintains a mapping of the location of each file within the cluster").
-type ReplicaTable struct {
-	size  map[storage.FileID]units.Bytes
-	holds map[storage.FileID]map[int]bool // file → node ids
-}
-
-// NewReplicaTable returns an empty table.
-func NewReplicaTable() *ReplicaTable {
-	return &ReplicaTable{
-		size:  make(map[storage.FileID]units.Bytes),
-		holds: make(map[storage.FileID]map[int]bool),
-	}
-}
-
-// SetSize records a file's size (idempotent).
-func (rt *ReplicaTable) SetSize(f storage.FileID, size units.Bytes) {
-	rt.size[f] = size
-}
-
-// Size reports a file's size.
-func (rt *ReplicaTable) Size(f storage.FileID) units.Bytes { return rt.size[f] }
-
-// Add records that node holds f.
-func (rt *ReplicaTable) Add(f storage.FileID, node int) {
-	m := rt.holds[f]
-	if m == nil {
-		m = make(map[int]bool)
-		rt.holds[f] = m
-	}
-	m[node] = true
-}
-
-// Remove drops one replica.
-func (rt *ReplicaTable) Remove(f storage.FileID, node int) {
-	if m := rt.holds[f]; m != nil {
-		delete(m, node)
-	}
-}
-
-// DropNode removes every replica held by a (preempted) node and returns the
-// files that now have zero replicas.
-func (rt *ReplicaTable) DropNode(node int) []storage.FileID {
-	var orphaned []storage.FileID
-	for f, m := range rt.holds {
-		if m[node] {
-			delete(m, node)
-			if len(m) == 0 {
-				orphaned = append(orphaned, f)
-			}
-		}
-	}
-	sort.Slice(orphaned, func(i, j int) bool { return orphaned[i] < orphaned[j] })
-	return orphaned
-}
-
-// Holders lists nodes holding f, sorted.
-func (rt *ReplicaTable) Holders(f storage.FileID) []int {
-	m := rt.holds[f]
-	out := make([]int, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// HasReplica reports whether any node holds f.
-func (rt *ReplicaTable) HasReplica(f storage.FileID) bool { return len(rt.holds[f]) > 0 }
-
-// Holds reports whether a specific node holds f.
-func (rt *ReplicaTable) Holds(f storage.FileID, node int) bool { return rt.holds[f][node] }
-
-// ---- placement policy ----
-
-// Candidate describes one schedulable worker to the placement policy.
-type Candidate struct {
-	Node      int
-	FreeCores int
-}
-
-// PickWorker chooses a worker for a task needing the given input files:
-// the candidate with the most input bytes already local wins; ties prefer
-// more free cores, then lower node id (determinism). Mirrors the live
-// manager's pickWorkerLocked. Returns -1 if candidates is empty.
-func (rt *ReplicaTable) PickWorker(candidates []Candidate, inputs []storage.FileID) int {
-	best := -1
-	var bestLocal units.Bytes = -1
-	bestFree := -1
-	for _, c := range candidates {
-		var local units.Bytes
-		for _, f := range inputs {
-			if rt.Holds(f, c.Node) {
-				local += rt.size[f]
-			}
-		}
-		if best == -1 || local > bestLocal || (local == bestLocal && c.FreeCores > bestFree) ||
-			(local == bestLocal && c.FreeCores == bestFree && c.Node < best) {
-			best, bestLocal, bestFree = c.Node, local, c.FreeCores
-		}
-	}
-	return best
-}
 
 // ---- peer-transfer governor ----
 

@@ -3,119 +3,12 @@ package core
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"hepvine/internal/dag"
-	"hepvine/internal/randx"
 	"hepvine/internal/storage"
 	"hepvine/internal/units"
 )
-
-func TestReplicaTableBasics(t *testing.T) {
-	rt := NewReplicaTable()
-	rt.SetSize("f", 100)
-	if rt.Size("f") != 100 {
-		t.Fatal("size lost")
-	}
-	rt.Add("f", 1)
-	rt.Add("f", 2)
-	if !rt.HasReplica("f") || !rt.Holds("f", 1) || rt.Holds("f", 3) {
-		t.Fatal("membership wrong")
-	}
-	h := rt.Holders("f")
-	if len(h) != 2 || h[0] != 1 || h[1] != 2 {
-		t.Fatalf("holders = %v", h)
-	}
-	rt.Remove("f", 1)
-	if rt.Holds("f", 1) {
-		t.Fatal("remove failed")
-	}
-}
-
-func TestReplicaTableDropNode(t *testing.T) {
-	rt := NewReplicaTable()
-	rt.Add("only", 3)
-	rt.Add("shared", 3)
-	rt.Add("shared", 4)
-	orphans := rt.DropNode(3)
-	if len(orphans) != 1 || orphans[0] != "only" {
-		t.Fatalf("orphans = %v", orphans)
-	}
-	if rt.HasReplica("only") || !rt.HasReplica("shared") {
-		t.Fatal("drop wrong")
-	}
-}
-
-func TestPickWorkerLocality(t *testing.T) {
-	rt := NewReplicaTable()
-	rt.SetSize("big", units.GB)
-	rt.SetSize("small", units.MB)
-	rt.Add("big", 2)
-	rt.Add("small", 1)
-	cands := []Candidate{{Node: 1, FreeCores: 12}, {Node: 2, FreeCores: 1}}
-	// Node 2 holds the gigabyte → wins despite fewer free cores.
-	if got := rt.PickWorker(cands, []storage.FileID{"big", "small"}); got != 2 {
-		t.Fatalf("picked %d", got)
-	}
-}
-
-func TestPickWorkerTieBreaks(t *testing.T) {
-	rt := NewReplicaTable()
-	cands := []Candidate{{Node: 3, FreeCores: 2}, {Node: 1, FreeCores: 5}, {Node: 2, FreeCores: 5}}
-	// No locality anywhere: most free cores wins; equal free → lowest id.
-	if got := rt.PickWorker(cands, nil); got != 1 {
-		t.Fatalf("picked %d", got)
-	}
-	if got := rt.PickWorker(nil, nil); got != -1 {
-		t.Fatalf("empty candidates → %d", got)
-	}
-}
-
-func TestPickWorkerProperty(t *testing.T) {
-	// The chosen worker always has maximal local bytes among candidates.
-	check := func(seed uint16) bool {
-		rng := randx.New(uint64(seed) + 1)
-		rt := NewReplicaTable()
-		files := []storage.FileID{"a", "b", "c"}
-		for _, f := range files {
-			rt.SetSize(f, units.Bytes(rng.Intn(1000)+1))
-			for n := 1; n <= 5; n++ {
-				if rng.Bool(0.4) {
-					rt.Add(f, n)
-				}
-			}
-		}
-		var cands []Candidate
-		for n := 1; n <= 5; n++ {
-			if rng.Bool(0.8) {
-				cands = append(cands, Candidate{Node: n, FreeCores: rng.Intn(12) + 1})
-			}
-		}
-		got := rt.PickWorker(cands, files)
-		if len(cands) == 0 {
-			return got == -1
-		}
-		local := func(n int) units.Bytes {
-			var sum units.Bytes
-			for _, f := range files {
-				if rt.Holds(f, n) {
-					sum += rt.Size(f)
-				}
-			}
-			return sum
-		}
-		for _, c := range cands {
-			if local(c.Node) > local(got) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestGovernorCap(t *testing.T) {
 	g := NewGovernor(2)

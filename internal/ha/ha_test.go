@@ -7,23 +7,7 @@ import (
 	"time"
 
 	"hepvine/internal/journal"
-	"hepvine/internal/params"
 )
-
-// TestParamsMirrorLeaseTiming keeps the simulation plane's documented
-// availability constants in lock-step with the live defaults.
-func TestParamsMirrorLeaseTiming(t *testing.T) {
-	t.Parallel()
-	if params.DefaultLeaseTTL != DefaultTTL {
-		t.Fatalf("params.DefaultLeaseTTL = %v, live DefaultTTL = %v", params.DefaultLeaseTTL, DefaultTTL)
-	}
-	if params.DefaultLeaseRenewEvery != DefaultTTL/3 {
-		t.Fatalf("params.DefaultLeaseRenewEvery = %v, live renew cadence = %v", params.DefaultLeaseRenewEvery, DefaultTTL/3)
-	}
-	if params.DefaultStandbyPoll != DefaultTTL/8 {
-		t.Fatalf("params.DefaultStandbyPoll = %v, live standby poll = %v", params.DefaultStandbyPoll, DefaultTTL/8)
-	}
-}
 
 // TestLeaseConflictAndSuccession: a fresh lease excludes other holders;
 // once it lapses a successor acquires it under a higher epoch.

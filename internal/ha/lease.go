@@ -19,8 +19,7 @@ import (
 
 // Lease timing defaults. A holder renews every TTL/3 (two missed renewals
 // of slack before expiry) and a standby polls at TTL/8 so takeover begins
-// within a fraction of the TTL after expiry. Mirrored as
-// params.DefaultLeaseTTL / DefaultLeaseRenewEvery / DefaultStandbyPoll.
+// within a fraction of the TTL after expiry.
 const (
 	DefaultTTL = time.Second
 )

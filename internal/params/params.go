@@ -190,60 +190,18 @@ func DaskSchedulerScale(workers int) float64 {
 // sends the manager when retaining outputs locally.
 var ResultNoticeBytes = units.Bytes(2 << 10)
 
-// DefaultTransferCapPerSource mirrors the live engine's default governor
-// cap on concurrent outbound peer transfers per worker.
+// DefaultTransferCapPerSource caps concurrent outbound peer transfers per
+// worker (§IV.B): the live manager's transfer governor and the simulator's
+// default both read it.
 var DefaultTransferCapPerSource = 3
-
-// DefaultTransferAttempts mirrors the live engine's per-file staging
-// attempt bound: how many times one file may fail over to another replica
-// before the failure escalates to a task-level retry (and, with no clean
-// replica left, a lineage rollback of the producer).
-var DefaultTransferAttempts = 3
-
-// ---- durability (run journal + warm restart) ----
-
-// DefaultJournalCompactEvery mirrors the live engine's compaction cadence:
-// after this many completed tasks the manager cuts the write-ahead log and
-// folds the prefix into a snapshot, bounding replay time for long runs.
-var DefaultJournalCompactEvery = 512
-
-// DefaultOrphanTTL mirrors the persistent worker cache's grace window for
-// entries the manager does not recognize at re-registration: survivors of a
-// previous run are kept this long for a resuming manager to claim before
-// the orphan GC reclaims the disk.
-var DefaultOrphanTTL = 10 * time.Minute
-
-// DefaultReconnectBackoff mirrors the worker's delay between redial
-// attempts after losing its control connection — long enough not to hammer
-// a restarting manager, short enough that a warm resume feels immediate.
-var DefaultReconnectBackoff = 50 * time.Millisecond
-
-// ---- availability (hot standby + lease failover) ----
-
-// DefaultLeaseTTL mirrors internal/ha's leadership lease duration: the
-// window a primary may go silent before a standby takes over. Takeover
-// latency (lease expiry → first dispatch by the standby) is bounded by
-// under 2× this value in the chaos HA suite.
-var DefaultLeaseTTL = time.Second
-
-// DefaultLeaseRenewEvery mirrors the holder's renewal cadence (TTL/3):
-// two consecutive missed renewals still leave slack before expiry, so a
-// single slow fsync of the lease file does not trigger a failover.
-var DefaultLeaseRenewEvery = DefaultLeaseTTL / 3
-
-// DefaultStandbyPoll mirrors the standby's journal-tail and lease-watch
-// cadence (TTL/8): replay state stays within one poll of the primary's
-// synced history, and lease expiry is noticed well inside the takeover
-// latency bound.
-var DefaultStandbyPoll = DefaultLeaseTTL / 8
 
 // ---- elasticity (internal/pool — autoscaled, preemption-tolerant pools) ----
 
-// DefaultDrainGrace mirrors the live engine's grace window for a worker
-// preempted without an explicit notice period (cmd/vineworker's
-// -drain-grace flag and vine's internal default): long enough to finish a
-// typical fine-grained task and evacuate sole-replica cache entries,
-// short enough to respect an HTCondor-style eviction deadline.
+// DefaultDrainGrace is the grace window for a worker preempted without an
+// explicit notice period (cmd/vineworker's -drain-grace flag, the pool's
+// drain and Worker.Drain(0)): long enough to finish a typical
+// fine-grained task and evacuate sole-replica cache entries, short enough
+// to respect an HTCondor-style eviction deadline.
 var DefaultDrainGrace = 30 * time.Second
 
 // DefaultPreemptWindow mirrors the simulator's preemption window: the
@@ -306,14 +264,6 @@ var DefaultGateDrainTimeout = 30 * time.Second
 // path (peer tickets, re-homing, lease replay) while still fitting on a
 // laptop-scale loopback cluster.
 var DefaultForemanFanout = 2
-
-// DefaultLeaseBatch mirrors how many task leases the root coalesces into
-// one frame to a foreman. Batching is where the dispatch-throughput win
-// over a flat manager comes from: one length+CRC+JSON envelope amortized
-// over many tiny tasks. 64 keeps a batch well under a heartbeat interval
-// even at paper-scale task rates while cutting per-task frame overhead
-// by more than an order of magnitude.
-var DefaultLeaseBatch = 64
 
 // DefaultForemanReportEvery mirrors the foreman's aggregation window:
 // completions, replica addresses, and backlog accumulate locally and

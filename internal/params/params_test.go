@@ -76,9 +76,8 @@ func TestClusterShapeConstants(t *testing.T) {
 }
 
 func TestElasticityDefaults(t *testing.T) {
-	// Pin the live-engine mirrors: cmd/vineworker's -drain-grace default
-	// and vine's internal drain fallback both advertise 30s; the simulator
-	// preempts PreemptFraction of the pool over a 10-minute window (§IV).
+	// The documented drain grace is 30s; the simulator preempts
+	// PreemptFraction of the pool over a 10-minute window (§IV).
 	if DefaultDrainGrace != 30*time.Second {
 		t.Fatalf("DefaultDrainGrace = %v", DefaultDrainGrace)
 	}
@@ -100,14 +99,11 @@ func TestElasticityDefaults(t *testing.T) {
 }
 
 func TestFederationDefaults(t *testing.T) {
-	// Pin the federation mirrors: vine's lease batching and the foreman's
-	// report cadence are the two knobs the bench sweeps; drifting them
-	// silently would invalidate cross-PR throughput comparisons.
+	// Pin the federation defaults: the foreman's report cadence is a knob
+	// the bench sweeps; drifting it silently would invalidate cross-PR
+	// throughput comparisons.
 	if DefaultForemanFanout != 2 {
 		t.Fatalf("DefaultForemanFanout = %d", DefaultForemanFanout)
-	}
-	if DefaultLeaseBatch != 64 {
-		t.Fatalf("DefaultLeaseBatch = %d", DefaultLeaseBatch)
 	}
 	if DefaultForemanReportEvery != 200*time.Millisecond {
 		t.Fatalf("DefaultForemanReportEvery = %v", DefaultForemanReportEvery)

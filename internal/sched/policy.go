@@ -3,7 +3,9 @@
 // simulator (internal/vinesim). It separates *policy* — which worker should
 // run a ready task — from *mechanism* — queueing, fair-share across
 // tenants, and the indexed bookkeeping that keeps placement off the
-// O(ready × workers × inputs) rescan path.
+// O(ready × workers × inputs) rescan path. That bookkeeping includes
+// Replicas, the one table of which worker holds which file, used by both
+// planes.
 //
 // Policies follow the k8s scheduler shape: a pipeline of Filters prunes
 // infeasible workers, then a vector of Scorers ranks the survivors. Scores
@@ -40,8 +42,8 @@ type Task struct {
 }
 
 // Candidate is the scheduler's view of one worker at placement time.
-// LocalBytes is precomputed by the caller (the Scheduler's file index or
-// the simulator's replica table) so scorers stay O(1) field reads.
+// LocalBytes is precomputed from a replica table (Replicas.LocalBytes) so
+// scorers stay O(1) field reads.
 type Candidate struct {
 	ID         int
 	Cores      int

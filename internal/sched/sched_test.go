@@ -376,7 +376,8 @@ func TestLocalityUsesFileIndex(t *testing.T) {
 	s := New(nil)
 	s.WorkerJoin(1, 4, 0)
 	s.WorkerJoin(2, 4, 0)
-	s.FileCached(2, "input.root", 1<<20)
+	s.Replicas().SetSize("input.root", 1<<20)
+	s.Replicas().Add("input.root", 2)
 	var worker int
 	s.Enqueue(task("t", 1, "input.root"), 0)
 	s.Assign(0, func(a Assignment) { worker = a.Worker })
@@ -384,7 +385,7 @@ func TestLocalityUsesFileIndex(t *testing.T) {
 		t.Fatalf("placed on %d, want data-local worker 2", worker)
 	}
 	// After eviction the tie falls back to lowest id.
-	s.FileEvicted(2, "input.root")
+	s.Replicas().Remove("input.root", 2)
 	s.Release(2, 1, 0)
 	s.Enqueue(task("t2", 1, "input.root"), 0)
 	s.Assign(0, func(a Assignment) { worker = a.Worker })
@@ -394,23 +395,31 @@ func TestLocalityUsesFileIndex(t *testing.T) {
 }
 
 // The hot path must not allocate per placement: the candidate buffer is
-// reused, the id slice is maintained, and score vectors are stack arrays.
+// reused, the id slice is maintained, score vectors are stack arrays, and
+// LocalBytes reads the replica table in place. Every task has inputs held
+// somewhere, so the locality path runs on each decision.
 func TestAssignSteadyStateAllocs(t *testing.T) {
 	s := New(nil)
 	for i := 0; i < 8; i++ {
 		s.WorkerJoin(i, 4, 0)
+		f := fmt.Sprintf("f%d", i)
+		s.Replicas().SetSize(f, int64(i+1)<<20)
+		s.Replicas().Add(f, i)
 	}
 	tasks := make([]*Task, 64)
 	for i := range tasks {
-		tasks[i] = task(fmt.Sprintf("t%d", i), 1)
+		tasks[i] = task(fmt.Sprintf("t%d", i), 1, fmt.Sprintf("f%d", i%8), fmt.Sprintf("f%d", (i+3)%8))
 	}
-	i := 0
+	i, local := 0, 0
 	// Warm up once so lazily-grown scratch buffers reach steady state.
 	run := func() {
 		for _, tk := range tasks {
 			s.Enqueue(tk, int64(i))
 		}
 		s.Assign(int64(i), func(a Assignment) {
+			if a.Score > 0 {
+				local++
+			}
 			s.Release(a.Worker, a.Task.Cores, a.Task.Memory)
 		})
 		i++
@@ -421,6 +430,9 @@ func TestAssignSteadyStateAllocs(t *testing.T) {
 	// budget for map internals but nothing proportional to workers×tasks.
 	if avg > 5 {
 		t.Fatalf("steady-state Assign allocates %.1f per round, want ~0", avg)
+	}
+	if local == 0 {
+		t.Fatal("no placement scored any local bytes; the locality path did not run")
 	}
 }
 
@@ -433,8 +445,9 @@ func BenchmarkAssign(b *testing.B) {
 	for i := range tasks {
 		tasks[i] = task(fmt.Sprintf("t%d", i), 1, "f1", "f2")
 	}
+	s.Replicas().SetSize("f1", 1000)
 	for i := 0; i < 32; i++ {
-		s.FileCached(i, "f1", 1000)
+		s.Replicas().Add("f1", i)
 	}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {

@@ -16,29 +16,27 @@ type Assignment struct {
 	Wait   int64   // ns the task spent queued before this decision
 }
 
-// node is the scheduler's capacity + cache index for one worker. files
-// mirrors the worker's cache so locality scoring is a map lookup per
-// input instead of a scan of manager-global state.
+// node is the scheduler's capacity index for one worker.
 type node struct {
 	id          int
 	cores       int
 	freeCores   int
 	memory      int64
 	freeMemory  int64
-	files       map[string]int64 // cache name -> size
-	preemptible bool             // opportunistic slot: may vanish on short notice
-	draining    bool             // inside a preemption grace window
+	preemptible bool // opportunistic slot: may vanish on short notice
+	draining    bool // inside a preemption grace window
 }
 
-// Scheduler owns the ready set and the worker index for one plane. It is
-// not goroutine-safe: the live manager calls it under its own mutex, the
-// simulator is single-threaded.
+// Scheduler owns the ready set, the worker index and the replica table
+// for one plane. It is not goroutine-safe: the live manager calls it
+// under its own mutex, the simulator is single-threaded.
 type Scheduler struct {
 	policy *Policy
 	queues map[string]*queue
 	order  []string // queue creation order, for stable stats/iteration
 	nodes  map[int]*node
 	ids    []int // sorted worker ids, maintained at join/lost (no per-task sort)
+	reps   *Replicas
 	queued map[string]*Task
 	nseq   uint64
 
@@ -57,6 +55,7 @@ func New(policy *Policy, queues ...QueueConfig) *Scheduler {
 		policy: policy,
 		queues: make(map[string]*queue),
 		nodes:  make(map[int]*node),
+		reps:   NewReplicas(),
 		queued: make(map[string]*Task),
 	}
 	s.AddQueue(QueueConfig{Name: DefaultQueue, Weight: 1})
@@ -127,7 +126,6 @@ func (s *Scheduler) WorkerJoin(id, cores int, memory int64) {
 	s.nodes[id] = &node{
 		id: id, cores: cores, freeCores: cores,
 		memory: memory, freeMemory: memory,
-		files: make(map[string]int64),
 	}
 }
 
@@ -189,29 +187,9 @@ func (s *Scheduler) Release(worker, cores int, memory int64) {
 	}
 }
 
-// ---- file index (locality) ----
-
-// FileCached records that a worker now holds a cached file.
-func (s *Scheduler) FileCached(worker int, name string, size int64) {
-	if n, ok := s.nodes[worker]; ok {
-		n.files[name] = size
-	}
-}
-
-// FileEvicted records that a worker dropped one cached file.
-func (s *Scheduler) FileEvicted(worker int, name string) {
-	if n, ok := s.nodes[worker]; ok {
-		delete(n.files, name)
-	}
-}
-
-// FileForgotten removes a file from every worker's index (manager-side
-// unlink of a whole logical file).
-func (s *Scheduler) FileForgotten(name string) {
-	for _, n := range s.nodes {
-		delete(n.files, name)
-	}
-}
+// Replicas is the replica table placement reads LocalBytes from. The
+// caller records every replica event on it.
+func (s *Scheduler) Replicas() *Replicas { return s.reps }
 
 // ---- ready set ----
 
@@ -402,20 +380,16 @@ func (s *Scheduler) maxFreeCores() int {
 }
 
 // candidates fills the scratch buffer with every indexed worker in
-// ascending id order, computing LocalBytes from the file index. Filtering
+// ascending id order, reading LocalBytes from the replica table. Filtering
 // is the policy's job; the scheduler only precomputes the facts.
 func (s *Scheduler) candidates(t *Task) []Candidate {
 	s.cands = s.cands[:0]
 	for _, id := range s.ids {
 		n := s.nodes[id]
-		var local int64
-		for _, in := range t.Inputs {
-			local += n.files[in]
-		}
 		s.cands = append(s.cands, Candidate{
 			ID: id, Cores: n.cores, FreeCores: n.freeCores,
 			Memory: n.memory, FreeMemory: n.freeMemory,
-			LocalBytes:  local,
+			LocalBytes:  s.reps.LocalBytes(id, t.Inputs),
 			Preemptible: n.preemptible,
 			Draining:    n.draining,
 		})

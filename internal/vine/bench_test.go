@@ -1,10 +1,51 @@
 package vine
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 )
+
+// BenchmarkFrameCodec measures one writeFrame+readFrame round trip of the
+// control protocol for the two frames every task costs: its dispatch and
+// its completion.
+func BenchmarkFrameCodec(b *testing.B) {
+	frames := map[string]*message{
+		"dispatch": {Type: msgDispatch, Dispatch: &dispatchMsg{
+			TaskID: 4242, Mode: string(ModeFunctionCall), Library: "benchlib", Func: "noop",
+			Args:    []byte("arguments"),
+			Inputs:  []fileRefWire{{Name: "in", CacheName: "blob:" + fmt.Sprintf("%064x", 1)}},
+			Outputs: []fileRefWire{{Name: "out", CacheName: "task:" + fmt.Sprintf("%064x", 2)}},
+			Cores:   1,
+		}},
+		"completion": {Type: msgTaskDone, TaskDone: &taskDoneMsg{
+			TaskID: 4242, OK: true,
+			OutputSizes: map[string]int64{"task:" + fmt.Sprintf("%064x", 2): 1 << 20},
+			ExecNanos:   12345, SetupNanos: 678,
+		}},
+	}
+	for _, name := range []string{"dispatch", "completion"} {
+		m := frames[name]
+		b.Run(name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := writeFrame(&buf, m); err != nil {
+					b.Fatal(err)
+				}
+				got, err := readFrame(&buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got.Type != m.Type {
+					b.Fatalf("round trip type %q, want %q", got.Type, m.Type)
+				}
+			}
+		})
+	}
+}
 
 // benchCluster starts a manager + one multi-core worker for latency and
 // throughput measurements of the live engine itself.

@@ -6,18 +6,7 @@ import (
 	"time"
 
 	"hepvine/internal/obs"
-	"hepvine/internal/params"
 )
-
-// The vine-internal drain fallback and the pinned parameter must agree —
-// cmd/vineworker advertises params.DefaultDrainGrace as its -drain-grace
-// default and Worker.Drain(0) falls back to defaultDrainGrace.
-func TestDrainGraceDefaultMirrorsParams(t *testing.T) {
-	if defaultDrainGrace != params.DefaultDrainGrace {
-		t.Fatalf("defaultDrainGrace = %v, params.DefaultDrainGrace = %v; mirrors diverged",
-			defaultDrainGrace, params.DefaultDrainGrace)
-	}
-}
 
 // A graceful drain with a generous window must evacuate the drainer's
 // sole-replica output to the surviving worker and let the worker exit
@@ -36,7 +25,7 @@ func TestGracefulDrainOffloadsSoleReplica(t *testing.T) {
 	cn, _ := h.Output("out")
 	m.mu.Lock()
 	var holderName string
-	for wid := range m.files[cn].workers {
+	for _, wid := range m.reps.Holders(string(cn)) {
 		holderName = m.workers[wid].name
 	}
 	m.mu.Unlock()
@@ -237,7 +226,7 @@ func TestReplicationIncludesStableWorker(t *testing.T) {
 		}
 		m.mu.Lock()
 		onStable := false
-		for wid := range m.files[cn].workers {
+		for _, wid := range m.reps.Holders(string(cn)) {
 			if w := m.workers[wid]; w != nil && w.alive && stable[w.name] {
 				onStable = true
 			}

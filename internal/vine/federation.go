@@ -65,23 +65,19 @@ func (m *Manager) ticketAddrLocked(name CacheName, dest int) (string, int64) {
 	if fs == nil {
 		return "", 0
 	}
-	ids := make([]int, 0, len(fs.workers))
-	for wid := range fs.workers {
-		ids = append(ids, wid)
-	}
-	sort.Ints(ids)
-	for _, wid := range ids {
+	size := m.reps.Size(string(name))
+	for _, wid := range m.reps.Holders(string(name)) {
 		if wid == dest {
 			continue
 		}
 		if w := m.workers[wid]; w != nil && w.alive {
 			if a := m.replicaAddrLocked(w, name); a != "" {
-				return a, fs.size
+				return a, size
 			}
 		}
 	}
 	if fs.onManager {
-		return m.ts.Addr(), fs.size
+		return m.ts.Addr(), size
 	}
 	return "", 0
 }
@@ -101,7 +97,7 @@ func (m *Manager) leaseLocked(rec *taskRecord, w *workerState) {
 	rootAddr := m.ts.Addr()
 	var tickets []ticketWire
 	for _, in := range rec.spec.Inputs {
-		if w.cache[in.CacheName] {
+		if m.reps.Holds(string(in.CacheName), w.id) {
 			continue // the shard already holds it
 		}
 		addr, size := m.ticketAddrLocked(in.CacheName, w.id)
@@ -280,25 +276,16 @@ func (m *Manager) onForemanReport(wid int, rep *foremanReportMsg) {
 }
 
 // recordShardReplicaLocked registers addr as the shard-local source for
-// name under foreman w, updating the replica table, the scheduler's
-// locality index, and the ticket address map (requires m.mu). Idempotent.
+// name under foreman w, updating the replica table and the ticket address
+// map (requires m.mu). Idempotent.
 func (m *Manager) recordShardReplicaLocked(w *workerState, name CacheName, size int64, addr string) {
-	if addr == "" || !w.alive || !w.foreman {
+	if addr == "" || !w.alive || !w.foreman || m.files[name] == nil {
 		return
 	}
-	fs := m.files[name]
-	if fs == nil {
-		return
+	if size > 0 && m.reps.Size(string(name)) == 0 {
+		m.reps.SetSize(string(name), size)
 	}
-	if size > 0 && fs.size == 0 {
-		fs.size = size
-	}
-	if !fs.workers[w.id] {
-		fs.workers[w.id] = true
-		w.cache[name] = true
-		w.cacheBytes += fs.size
-		m.sched.FileCached(w.id, string(name), fs.size)
-	}
+	m.reps.Add(string(name), w.id)
 	w.shardAddr[name] = addr
 }
 
@@ -312,27 +299,15 @@ func (m *Manager) purgeShardReplicaLocked(name CacheName, addr string, corrupt b
 	if addr == "" || addr == m.ts.Addr() {
 		return
 	}
-	fs := m.files[name]
-	if fs == nil {
-		return
-	}
-	for wid := range fs.workers {
+	for _, wid := range m.reps.Holders(string(name)) {
 		hw := m.workers[wid]
 		if hw == nil || m.replicaAddrLocked(hw, name) != addr {
 			continue
 		}
-		delete(fs.workers, wid)
-		if hw.cache[name] {
-			delete(hw.cache, name)
-			hw.cacheBytes -= fs.size
-			if hw.cacheBytes < 0 {
-				hw.cacheBytes = 0
-			}
-		}
+		m.reps.Remove(string(name), wid)
 		if hw.foreman {
 			delete(hw.shardAddr, name)
 		}
-		m.sched.FileEvicted(wid, string(name))
 		if corrupt {
 			m.met.corruptTransfers.Inc()
 			m.rec.Emit(obs.Event{Type: obs.EvFileCorrupt, Src: hw.name,
@@ -388,7 +363,7 @@ func (m *Manager) FederationStats() FederationStats {
 			Cores:       w.cores,
 			UsedCores:   w.usedCores,
 			Backlog:     w.backlog,
-			CachedFiles: len(w.cache),
+			CachedFiles: m.reps.Count(w.id),
 			TasksDone:   w.doneCount,
 		})
 	}
@@ -412,11 +387,11 @@ func (m *Manager) AddExternalReplica(name CacheName, size int64, addr string) {
 	defer m.mu.Unlock()
 	fs := m.files[name]
 	if fs == nil {
-		fs = &fileState{workers: make(map[int]bool), producer: -1}
+		fs = &fileState{producer: -1}
 		m.files[name] = fs
 	}
-	if size > 0 && fs.size == 0 {
-		fs.size = size
+	if size > 0 && m.reps.Size(string(name)) == 0 {
+		m.reps.SetSize(string(name), size)
 	}
 	fs.wasExt = true
 	known := false
@@ -472,20 +447,16 @@ func (m *Manager) ReplicaInfo(name CacheName) (addr string, size int64, ok bool)
 	if fs == nil {
 		return "", 0, false
 	}
-	ids := make([]int, 0, len(fs.workers))
-	for wid := range fs.workers {
-		ids = append(ids, wid)
-	}
-	sort.Ints(ids)
-	for _, wid := range ids {
+	size = m.reps.Size(string(name))
+	for _, wid := range m.reps.Holders(string(name)) {
 		if w := m.workers[wid]; w != nil && w.alive && !w.foreman && w.transferAddr != "" {
-			return w.transferAddr, fs.size, true
+			return w.transferAddr, size, true
 		}
 	}
 	if fs.onManager {
-		return m.ts.Addr(), fs.size, true
+		return m.ts.Addr(), size, true
 	}
-	return "", fs.size, false
+	return "", size, false
 }
 
 // ReplicaInventory snapshots every file this cluster can serve itself,

@@ -107,9 +107,9 @@ func TestExternalReplicaLifecycle(t *testing.T) {
 	}
 	m.mu.Lock()
 	fs := m.files[cn]
-	if len(fs.ext) != 2 || fs.size != 99 || !fs.wasExt {
+	if len(fs.ext) != 2 || m.reps.Size(string(cn)) != 99 || !fs.wasExt {
 		m.mu.Unlock()
-		t.Fatalf("ext state: %+v", fs)
+		t.Fatalf("ext state: %+v, size %d", fs, m.reps.Size(string(cn)))
 	}
 	// Rotation: staging retries walk the address list.
 	if a, b := m.extAddrLocked(fs, 0), m.extAddrLocked(fs, 1); a == b {

@@ -113,10 +113,10 @@ func taskDefRecord(rec *taskRecord) *journal.Record {
 // Buffers over journalBufferLimit are journaled without data (size-only
 // tombstone of the declaration; unrecoverable after restart unless
 // re-declared).
-func declRecord(name CacheName, fs *fileState) *journal.Record {
+func (m *Manager) declRecord(name CacheName, fs *fileState) *journal.Record {
 	r := &journal.Record{
 		Kind: journal.KindFileDecl, CacheName: string(name),
-		Size: fs.size, Path: fs.mgrPath,
+		Size: m.reps.Size(string(name)), Path: fs.mgrPath,
 	}
 	if fs.mgrData != nil && len(fs.mgrData) <= journalBufferLimit {
 		r.Data = fs.mgrData
@@ -166,11 +166,8 @@ func (m *Manager) materializeReplay(rs *ReplayState) (int, error) {
 	// Materialize files first, so task outputs and declared inputs exist
 	// before any handle references them.
 	for cn, rf := range files {
-		fs := &fileState{
-			size:     rf.size,
-			workers:  make(map[int]bool),
-			producer: rf.producer,
-		}
+		fs := &fileState{producer: rf.producer}
+		m.reps.SetSize(string(cn), rf.size)
 		switch {
 		case rf.data != nil && int64(len(rf.data)) == rf.size:
 			fs.mgrData = append([]byte(nil), rf.data...)
@@ -263,26 +260,31 @@ func (m *Manager) outputsMatchLocked(old *taskRecord, outputs []string) bool {
 }
 
 // snapshotRecordsLocked builds the compaction snapshot: the idempotent
-// upsert set that reconstructs current state — a def (+done) per completed
-// task and a decl per manager-declared file. Incomplete tasks are omitted
-// on purpose (replay drops them anyway; the client resubmits).
+// upsert set that reconstructs current state — a def per task that has not
+// failed, a done per completed task, and a decl per manager-declared file.
+// An in-flight task's def must survive: compaction deletes the segment
+// that held it, and its task_done lands in the tail with nothing else to
+// join. Replay still drops defs that never complete.
 func (m *Manager) snapshotRecordsLocked() []journal.Record {
 	var recs []journal.Record
 	for cn, fs := range m.files {
 		if fs.producer >= 0 {
 			continue // outputs are reconstructed from task_done records
 		}
-		recs = append(recs, *declRecord(cn, fs))
+		recs = append(recs, *m.declRecord(cn, fs))
 	}
 	for _, rec := range m.tasks {
-		if rec.state != TaskDone {
+		if rec.state == TaskFailed {
 			continue
 		}
 		recs = append(recs, *taskDefRecord(rec))
+		if rec.state != TaskDone {
+			continue
+		}
 		sizes := make(map[string]int64, len(rec.handle.outputs))
 		for _, cn := range rec.handle.outputs {
-			if fs := m.files[cn]; fs != nil {
-				sizes[string(cn)] = fs.size
+			if m.files[cn] != nil {
+				sizes[string(cn)] = m.reps.Size(string(cn))
 			}
 		}
 		rec.handle.mu.Lock()

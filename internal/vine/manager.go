@@ -15,6 +15,7 @@ import (
 
 	"hepvine/internal/journal"
 	"hepvine/internal/obs"
+	"hepvine/internal/params"
 	"hepvine/internal/randx"
 	"hepvine/internal/sched"
 )
@@ -265,10 +266,6 @@ type ManagerOptions struct {
 	// PeerTransfers enables worker-to-worker staging; disabled, every
 	// input is served from the manager (the Work Queue data path).
 	PeerTransfers bool
-	// TransferCapPerSource bounds concurrent outbound transfers from one
-	// worker (§IV.B: "the manager manages the number of concurrent peer
-	// transfers"). Default 3. The manager itself is uncapped.
-	TransferCapPerSource int
 	// MaxRetries bounds per-task re-dispatches after worker failures or
 	// transfer errors. Default 5.
 	MaxRetries int
@@ -393,8 +390,6 @@ type workerState struct {
 	usedCores    int
 	memory       int64 // advertised bytes; 0 = unlimited
 	usedMemory   int64
-	cache        map[CacheName]bool
-	cacheBytes   int64
 	outbound     int // active transfers served by this worker
 	alive        bool
 	// Elasticity: preemptible is the hello-advertised attribute; a
@@ -413,8 +408,8 @@ type workerState struct {
 	// serves each, so source capacity frees on completion or loss.
 	pendingSources []srcRecord
 	// Federation: foreman marks a subordinate manager registered over the
-	// same protocol. Its cache map tracks which files its whole shard
-	// holds; shardAddr maps each of those to the shard-local transfer
+	// same protocol. Its replicas in the table are the files its whole
+	// shard holds; shardAddr maps each of those to the shard-local transfer
 	// address serving it (the payload of a peer-transfer ticket). leaseBuf
 	// coalesces leases within one scheduling pass; backlog is the shard's
 	// last-reported leased-but-not-terminal count.
@@ -425,10 +420,9 @@ type workerState struct {
 	doneCount int // completions accepted from this worker or shard
 }
 
-// fileState tracks replicas of one cachename.
+// fileState is the manager's record of one cachename. Its size and the
+// workers holding it live in the replica table (m.reps).
 type fileState struct {
-	size       int64
-	workers    map[int]bool // worker ids holding it
 	onManager  bool
 	producer   int // task id that produces it; -1 for declared files
 	mgrPath    string
@@ -491,12 +485,11 @@ type pendingTransfer struct {
 
 // maxTransferAttempts bounds per-file staging attempts across sources
 // before the failure escalates to a task-level retry (and, if no clean
-// replica remains, a lineage rollback). Mirrored as
-// params.DefaultTransferAttempts.
+// replica remains, a lineage rollback).
 const maxTransferAttempts = 3
 
 // defaultLeaseBatch bounds how many leases ride in one frame to a
-// foreman. Mirrored as params.DefaultLeaseBatch.
+// foreman.
 const defaultLeaseBatch = 64
 
 // Manager is the TaskVine manager: it accepts workers, schedules tasks
@@ -560,6 +553,7 @@ type Manager struct {
 	tasks     map[int]*taskRecord
 	waiting   map[int]*taskRecord // tasks in TaskWaiting, indexed so completions don't scan the whole table
 	sched     *sched.Scheduler    // ready set + worker index; guarded by mu
+	reps      *sched.Replicas     // the scheduler's replica table; guarded by mu
 	queueMet  map[string]*obs.Counter
 	completed []int // task ids completed but not yet returned by WaitAny
 	queuedTx  []pendingTransfer
@@ -595,13 +589,11 @@ const defaultFailureHistory = 8
 func NewManager(options ...Option) (*Manager, error) {
 	c := buildConfig(options)
 	opts := c.mgr
-	if opts.TransferCapPerSource <= 0 {
-		opts.TransferCapPerSource = 3
-	}
 	if opts.MaxRetries <= 0 {
 		opts.MaxRetries = 5
 	}
 	reg := obs.NewRegistry()
+	sch := sched.New(c.schedPolicy, c.queues...)
 	m := &Manager{
 		opts:            opts,
 		failLimit:       c.failureHistory,
@@ -622,7 +614,8 @@ func NewManager(options ...Option) (*Manager, error) {
 		files:           make(map[CacheName]*fileState),
 		tasks:           make(map[int]*taskRecord),
 		waiting:         make(map[int]*taskRecord),
-		sched:           sched.New(c.schedPolicy, c.queues...),
+		sched:           sch,
+		reps:            sch.Replicas(),
 		queueMet:        make(map[string]*obs.Counter),
 		start:           time.Now(),
 		jr:              c.jr,
@@ -807,7 +800,7 @@ func (m *Manager) openCache(name CacheName) (io.ReadCloser, int64, error) {
 		m.mu.Unlock()
 		return nil, 0, fmt.Errorf("not on manager: %s", name)
 	}
-	path, data, size := fs.mgrPath, fs.mgrData, fs.size
+	path, data, size := fs.mgrPath, fs.mgrData, m.reps.Size(string(name))
 	m.mu.Unlock()
 	if path != "" {
 		f, err := os.Open(path)
@@ -831,22 +824,21 @@ func (m *Manager) DeclareBuffer(data []byte) CacheName {
 		fs.onManager = true
 		if fs.mgrData == nil && fs.mgrPath == "" {
 			fs.mgrData = append([]byte(nil), data...)
-			fs.size = int64(len(data))
+			m.reps.SetSize(string(name), int64(len(data)))
 		}
 		if !hadSource {
-			m.journalLocked(declRecord(name, fs))
+			m.journalLocked(m.declRecord(name, fs))
 		}
 		return name
 	}
 	fs := &fileState{
-		size:      int64(len(data)),
-		workers:   make(map[int]bool),
 		onManager: true,
 		producer:  -1,
 		mgrData:   append([]byte(nil), data...),
 	}
 	m.files[name] = fs
-	m.journalLocked(declRecord(name, fs))
+	m.reps.SetSize(string(name), int64(len(data)))
+	m.journalLocked(m.declRecord(name, fs))
 	return name
 }
 
@@ -864,22 +856,21 @@ func (m *Manager) DeclareFile(path string) (CacheName, error) {
 		fs.onManager = true
 		if fs.mgrPath == "" && fs.mgrData == nil {
 			fs.mgrPath = path
-			fs.size = size
+			m.reps.SetSize(string(name), size)
 		}
 		if !hadSource {
-			m.journalLocked(declRecord(name, fs))
+			m.journalLocked(m.declRecord(name, fs))
 		}
 		return name, nil
 	}
 	fs := &fileState{
-		size:      size,
-		workers:   make(map[int]bool),
 		onManager: true,
 		producer:  -1,
 		mgrPath:   path,
 	}
 	m.files[name] = fs
-	m.journalLocked(declRecord(name, fs))
+	m.reps.SetSize(string(name), size)
+	m.journalLocked(m.declRecord(name, fs))
 	return name, nil
 }
 
@@ -985,7 +976,7 @@ func (m *Manager) submitFreshLocked(t Task, defHash string) (*TaskHandle, error)
 		cn := outputName(defHash, out)
 		h.outputs[out] = cn
 		if _, exists := m.files[cn]; !exists {
-			m.files[cn] = &fileState{workers: make(map[int]bool), producer: id}
+			m.files[cn] = &fileState{producer: id}
 		} else {
 			m.files[cn].producer = id
 		}
@@ -1059,12 +1050,7 @@ func (m *Manager) FetchBytes(name CacheName) ([]byte, error) {
 			return append([]byte(nil), data...), nil
 		}
 		addr, src, srcName := "", -1, ""
-		ids := make([]int, 0, len(fs.workers))
-		for wid := range fs.workers {
-			ids = append(ids, wid)
-		}
-		sort.Ints(ids)
-		for _, wid := range ids {
+		for _, wid := range m.reps.Holders(string(name)) {
 			if w := m.workers[wid]; w != nil && w.alive {
 				if a := m.replicaAddrLocked(w, name); a != "" {
 					addr, src, srcName = a, wid, w.name
@@ -1126,21 +1112,17 @@ func (m *Manager) FetchBytes(name CacheName) ([]byte, error) {
 // Task outputs that are unlinked cannot be recovered.
 func (m *Manager) Unlink(name CacheName) {
 	m.mu.Lock()
-	fs, ok := m.files[name]
-	if !ok {
+	if _, ok := m.files[name]; !ok {
 		m.mu.Unlock()
 		return
 	}
 	var conns []*conn
-	for wid := range fs.workers {
+	for _, wid := range m.reps.Forget(string(name)) {
 		if w := m.workers[wid]; w != nil && w.alive {
 			conns = append(conns, w.conn)
-			w.cacheBytes -= fs.size
-			delete(w.cache, name)
 		}
 	}
 	delete(m.files, name)
-	m.sched.FileForgotten(string(name))
 	m.journalLocked(&journal.Record{Kind: journal.KindUnlink, CacheName: string(name)})
 	m.mu.Unlock()
 	for _, c := range conns {
@@ -1161,7 +1143,7 @@ func (m *Manager) ReplicaCount(name CacheName) int {
 	if fs.onManager {
 		n++
 	}
-	for wid := range fs.workers {
+	for _, wid := range m.reps.Holders(string(name)) {
 		if w := m.workers[wid]; w != nil && w.alive {
 			n++
 		}
@@ -1216,7 +1198,6 @@ func (m *Manager) handleWorker(cc *conn) {
 		memory:       hello.Memory,
 		preemptible:  hello.Preemptible,
 		foreman:      hello.Foreman,
-		cache:        make(map[CacheName]bool),
 		alive:        true,
 		lastSeen:     time.Now(),
 	}
@@ -1240,8 +1221,8 @@ func (m *Manager) handleWorker(cc *conn) {
 	var known []string
 	for _, e := range hello.Inventory {
 		cn := CacheName(e.CacheName)
-		fs := m.files[cn]
-		if fs == nil || (fs.size != 0 && fs.size != e.Size) {
+		size := m.reps.Size(e.CacheName)
+		if m.files[cn] == nil || (size != 0 && size != e.Size) {
 			continue
 		}
 		if w.foreman && e.Addr == "" {
@@ -1250,16 +1231,13 @@ func (m *Manager) handleWorker(cc *conn) {
 			// never build a ticket for it. Leave it unacknowledged.
 			continue
 		}
-		if fs.size == 0 {
-			fs.size = e.Size
+		if size == 0 {
+			m.reps.SetSize(e.CacheName, e.Size)
 		}
-		fs.workers[id] = true
-		w.cache[cn] = true
-		w.cacheBytes += e.Size
+		m.reps.Add(e.CacheName, id)
 		if w.foreman {
 			w.shardAddr[cn] = e.Addr
 		}
-		m.sched.FileCached(id, e.CacheName, e.Size)
 		known = append(known, e.CacheName)
 	}
 	if len(known) > 0 {
@@ -1361,7 +1339,7 @@ func (m *Manager) hasSourceLocked(name CacheName) bool {
 	if fs.onManager || len(fs.ext) > 0 {
 		return true
 	}
-	for wid := range fs.workers {
+	for _, wid := range m.reps.Holders(string(name)) {
 		if w := m.workers[wid]; w != nil && w.alive {
 			return true
 		}
@@ -1397,8 +1375,8 @@ func (m *Manager) enqueueReadyLocked(rec *taskRecord) {
 // scheduleLocked drains the scheduler onto workers and starts staging.
 // Placement is delegated to the sched subsystem: the policy pipeline
 // picks a worker per task, weighted fair-share picks which queue goes
-// next, and the scheduler's own indexes (sorted worker ids, per-worker
-// file sets) keep the hot path free of per-task rebuild/sort work.
+// next, and the scheduler's own indexes (sorted worker ids, the replica
+// table) keep the hot path free of per-task rebuild/sort work.
 func (m *Manager) scheduleLocked() {
 	if m.stopped || m.fenced {
 		return
@@ -1475,7 +1453,7 @@ func (m *Manager) assignLocked(rec *taskRecord, a sched.Assignment) {
 	}
 	rec.pending = make(map[CacheName]bool)
 	for _, in := range rec.spec.Inputs {
-		if !w.cache[in.CacheName] {
+		if !m.reps.Holds(string(in.CacheName), wid) {
 			rec.pending[in.CacheName] = true
 		}
 	}
@@ -1525,14 +1503,10 @@ func (m *Manager) pickSourceLocked(name CacheName, dest int) int {
 	if fs == nil {
 		return -1
 	}
+	holders := m.reps.Holders(string(name))
 	if m.opts.PeerTransfers {
 		best, bestLoad := -2, 1<<30
-		ids := make([]int, 0, len(fs.workers))
-		for wid := range fs.workers {
-			ids = append(ids, wid)
-		}
-		sort.Ints(ids)
-		for _, wid := range ids {
+		for _, wid := range holders {
 			if wid == dest {
 				continue
 			}
@@ -1549,12 +1523,7 @@ func (m *Manager) pickSourceLocked(name CacheName, dest int) int {
 	}
 	// No manager copy: any live worker replica even without peer mode
 	// (this is how results migrate when strictly necessary).
-	ids := make([]int, 0, len(fs.workers))
-	for wid := range fs.workers {
-		ids = append(ids, wid)
-	}
-	sort.Ints(ids)
-	for _, wid := range ids {
+	for _, wid := range holders {
 		if w := m.workers[wid]; w != nil && w.alive && wid != dest && m.replicaAddrLocked(w, name) != "" {
 			return wid
 		}
@@ -1574,21 +1543,22 @@ func (m *Manager) pumpTransfersLocked() {
 		if fs == nil {
 			continue
 		}
+		size := m.reps.Size(string(tx.name))
 		// Re-validate the source each pump; it may have died.
 		src := tx.source
 		if src >= 0 {
 			sw := m.workers[src]
-			if sw == nil || !sw.alive || !sw.cache[tx.name] {
+			if sw == nil || !sw.alive || !m.reps.Holds(string(tx.name), src) {
 				src = m.pickSourceLocked(tx.name, tx.dest)
 			}
 		}
 		var addr, extAddr string
 		if src >= 0 {
 			sw := m.workers[src]
-			if sw.outbound >= m.opts.TransferCapPerSource {
+			if sw.outbound >= params.DefaultTransferCapPerSource {
 				// Source busy: try another replica, else defer.
 				alt := m.pickSourceLocked(tx.name, tx.dest)
-				if alt != src && alt >= 0 && m.workers[alt].outbound < m.opts.TransferCapPerSource {
+				if alt != src && alt >= 0 && m.workers[alt].outbound < params.DefaultTransferCapPerSource {
 					src = alt
 					addr = m.replicaAddrLocked(m.workers[alt], tx.name)
 				} else if alt == -1 && fs.onManager {
@@ -1631,18 +1601,18 @@ func (m *Manager) pumpTransfersLocked() {
 		if src >= 0 {
 			srcName = m.workers[src].name
 			m.met.peerTransfers.Inc()
-			m.met.peerBytes.Add(fs.size)
+			m.met.peerBytes.Add(size)
 		} else if extAddr != "" {
 			srcName = extAddr
 			m.met.peerTransfers.Inc()
-			m.met.peerBytes.Add(fs.size)
+			m.met.peerBytes.Add(size)
 		} else {
 			m.met.managerTransfers.Inc()
-			m.met.managerBytes.Add(fs.size)
+			m.met.managerBytes.Add(size)
 		}
-		m.rec.Emit(obs.Event{Type: obs.EvTransferStart, Src: srcName, Dst: dw.name, Bytes: fs.size, Detail: string(tx.name)})
+		m.rec.Emit(obs.Event{Type: obs.EvTransferStart, Src: srcName, Dst: dw.name, Bytes: size, Detail: string(tx.name)})
 		dw.conn.send(&message{Type: msgPutURL, PutURL: &putURLMsg{
-			CacheName: string(tx.name), Addr: addr, Size: fs.size,
+			CacheName: string(tx.name), Addr: addr, Size: size,
 		}})
 		// Remember who served it so capacity frees on completion.
 		dw.pendingSources = append(dw.pendingSources, srcRecord{name: tx.name, source: src, extAddr: extAddr, attempts: tx.attempts, offload: tx.offload})
@@ -1967,19 +1937,11 @@ func (m *Manager) onTaskDoneLocked(wid int, msg *taskDoneMsg) {
 	m.setTaskState(rec, TaskDone)
 	// Record output replicas on the executing worker.
 	for cnStr, size := range msg.OutputSizes {
-		cn := CacheName(cnStr)
-		fs := m.files[cn]
-		if fs == nil {
-			fs = &fileState{workers: make(map[int]bool), producer: rec.id}
-			m.files[cn] = fs
+		if cn := CacheName(cnStr); m.files[cn] == nil {
+			m.files[cn] = &fileState{producer: rec.id}
 		}
-		fs.size = size
-		fs.workers[wid] = true
-		if w != nil {
-			w.cache[cn] = true
-			w.cacheBytes += size
-		}
-		m.sched.FileCached(wid, cnStr, size)
+		m.reps.SetSize(cnStr, size)
+		m.reps.Add(cnStr, wid)
 	}
 	if !wasDone {
 		m.met.tasksDone.Inc()
@@ -2029,12 +1991,11 @@ func (m *Manager) onTaskDoneLocked(wid int, msg *taskDoneMsg) {
 // replicateLocked tops a file up to the configured replica count by queuing
 // peer transfers to live workers that lack it.
 func (m *Manager) replicateLocked(cn CacheName) {
-	fs := m.files[cn]
-	if fs == nil {
+	if m.files[cn] == nil {
 		return
 	}
 	have := 0
-	for wid := range fs.workers {
+	for _, wid := range m.reps.Holders(string(cn)) {
 		if w := m.workers[wid]; w != nil && w.alive {
 			have++
 		}
@@ -2055,7 +2016,7 @@ func (m *Manager) replicateLocked(cn CacheName) {
 				break
 			}
 			w := m.workers[id]
-			if w == nil || !w.alive || w.draining || w.foreman || w.cache[cn] {
+			if w == nil || !w.alive || w.draining || w.foreman || m.reps.Holds(string(cn), id) {
 				continue
 			}
 			if (pass == 0) == w.preemptible {
@@ -2083,9 +2044,10 @@ func (m *Manager) pullToManager(addr, worker string, cn CacheName) {
 	}
 	fs.onManager = true
 	fs.mgrData = data
-	fs.size = int64(len(data))
-	m.met.managerBytes.Add(fs.size)
-	m.rec.Emit(obs.Event{Type: obs.EvTransferStart, Src: worker, Dst: "manager", Bytes: fs.size, Detail: string(cn)})
+	size := int64(len(data))
+	m.reps.SetSize(string(cn), size)
+	m.met.managerBytes.Add(size)
+	m.rec.Emit(obs.Event{Type: obs.EvTransferStart, Src: worker, Dst: "manager", Bytes: size, Detail: string(cn)})
 	m.promoteWaitersLocked()
 	m.scheduleLocked()
 }
@@ -2134,19 +2096,12 @@ func (m *Manager) onTransferDone(wid int, msg *transferDoneMsg) {
 			m.met.soleOffloads.Inc()
 			m.rec.Emit(obs.Event{Type: obs.EvWorkerDrain, Worker: srcName, Detail: "offloaded " + string(name) + " to " + w.name})
 		}
-		if fs != nil {
-			if msg.Size > 0 {
-				fs.size = msg.Size
-			}
-			fs.workers[wid] = true
-		}
-		w.cache[name] = true
-		if fs != nil {
-			w.cacheBytes += fs.size
-			m.sched.FileCached(wid, string(name), fs.size)
-		}
 		// Unblock staging tasks on this worker waiting for the file.
 		if fs != nil {
+			if msg.Size > 0 {
+				m.reps.SetSize(string(name), msg.Size)
+			}
+			m.reps.Add(string(name), wid)
 			var stillWaiting []*taskRecord
 			for _, rec := range fs.refWaiters {
 				if rec.worker == wid && rec.state == TaskStaging && rec.pending[name] {
@@ -2199,61 +2154,38 @@ func (m *Manager) onTransferDone(wid int, msg *transferDoneMsg) {
 }
 
 // quarantineReplicaLocked removes a replica that served bytes failing
-// their checksum: the manager stops counting the copy, the scheduler's
-// file index forgets it, and the holder is told to unlink it so the bad
-// bytes can't resurface as a future source. A manager-store source (-1)
-// is left alone — its copy is re-read from disk or memory on the next
-// fetch, so an in-flight corruption clears itself on retry.
+// their checksum: the replica table stops counting the copy, and the
+// holder is told to unlink it so the bad bytes can't resurface as a future
+// source. A manager-store source (-1) is left alone — its copy is re-read
+// from disk or memory on the next fetch, so an in-flight corruption clears
+// itself on retry.
 func (m *Manager) quarantineReplicaLocked(name CacheName, src int) {
 	if src < 0 {
 		return
 	}
-	fs := m.files[name]
-	if fs != nil {
-		delete(fs.workers, src)
-	}
-	sw := m.workers[src]
-	if sw == nil {
-		return
-	}
-	if sw.cache[name] {
-		delete(sw.cache, name)
-		if fs != nil {
-			sw.cacheBytes -= fs.size
-			if sw.cacheBytes < 0 {
-				sw.cacheBytes = 0
-			}
-		}
-	}
-	m.sched.FileEvicted(src, string(name))
-	if sw.alive {
+	m.reps.Remove(string(name), src)
+	if sw := m.workers[src]; sw != nil && sw.alive {
 		sw.conn.send(&message{Type: msgUnlink, Unlink: &unlinkMsg{CacheName: string(name)}})
 	}
 }
 
 // onEvicted records that a worker dropped a cached file under disk
-// pressure: the replica table and scheduler index stop counting the
-// copy, staging tasks that believed the file was already local get it
-// re-staged, and ready tasks whose last source vanished fall back to
-// producer revival — the file degrades to a transfer, not a failure.
+// pressure: the replica table stops counting the copy, staging tasks that
+// believed the file was already local get it re-staged, and ready tasks
+// whose last source vanished fall back to producer revival — the file
+// degrades to a transfer, not a failure.
 func (m *Manager) onEvicted(wid int, msg *evictedMsg) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w := m.workers[wid]
-	if w == nil {
+	if m.workers[wid] == nil {
 		return
 	}
 	name := CacheName(msg.CacheName)
-	if w.cache[name] {
-		delete(w.cache, name)
-		w.cacheBytes -= msg.Size
-	}
-	m.sched.FileEvicted(wid, string(name))
+	m.reps.Remove(msg.CacheName, wid)
 	fs := m.files[name]
 	if fs == nil {
 		return
 	}
-	delete(fs.workers, wid)
 	// Staging tasks on this worker that already counted the file as
 	// local must fetch it again before dispatch.
 	for _, rec := range m.tasks {
@@ -2343,13 +2275,14 @@ func (m *Manager) onDraining(wid int, msg *drainingMsg) {
 // would cost a lineage rollback if the worker vanished now.
 func (m *Manager) soleReplicasLocked(w *workerState) []CacheName {
 	var sole []CacheName
-	for cn := range w.cache {
+	for _, f := range m.reps.Files(w.id) {
+		cn := CacheName(f)
 		fs := m.files[cn]
 		if fs == nil || fs.onManager {
 			continue
 		}
 		safe := false
-		for wid := range fs.workers {
+		for _, wid := range m.reps.Holders(f) {
 			if wid == w.id {
 				continue
 			}
@@ -2388,7 +2321,6 @@ func (m *Manager) soleReplicasLocked(w *workerState) []CacheName {
 			sole = append(sole, cn)
 		}
 	}
-	sort.Slice(sole, func(i, j int) bool { return sole[i] < sole[j] })
 	return sole
 }
 
@@ -2405,7 +2337,7 @@ func (m *Manager) offloadSoleReplicasLocked(w *workerState) {
 		for pass := 0; pass < 2 && dest < 0; pass++ {
 			for _, id := range m.sched.WorkerIDs() {
 				ow := m.workers[id]
-				if id == w.id || ow == nil || !ow.alive || ow.draining || ow.foreman || ow.cache[cn] {
+				if id == w.id || ow == nil || !ow.alive || ow.draining || ow.foreman || m.reps.Holds(string(cn), id) {
 					continue
 				}
 				if (pass == 0) == ow.preemptible {
@@ -2515,15 +2447,8 @@ func (m *Manager) workerLostLocked(wid int) {
 	}
 	w.pendingSources = nil
 
-	// Drop its replicas — sweeping the whole replica table, not just the
-	// worker's own cache view, so no fileState can keep listing the dead
-	// worker and pickSourceLocked can never hand it out between the
-	// heartbeat miss and cleanup.
-	for _, fs := range m.files {
-		delete(fs.workers, wid)
-	}
-	w.cache = make(map[CacheName]bool)
-	w.cacheBytes = 0
+	// Drop its replicas, so pickSourceLocked can never hand it out again.
+	m.reps.DropHolder(wid)
 
 	// Requeue its staging/running tasks; forget any speculative copy it
 	// was still running.
@@ -2615,8 +2540,8 @@ func (m *Manager) Workers() []WorkerInfo {
 			UsedCores:    w.usedCores,
 			Memory:       w.memory,
 			UsedMemory:   w.usedMemory,
-			CachedFiles:  len(w.cache),
-			CacheBytes:   w.cacheBytes,
+			CachedFiles:  m.reps.Count(w.id),
+			CacheBytes:   m.reps.Bytes(w.id),
 			Outbound:     w.outbound,
 			Alive:        w.alive,
 			Preemptible:  w.preemptible,

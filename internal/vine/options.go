@@ -37,19 +37,11 @@ const (
 	defaultRecoveryTimeout   = 30 * time.Second
 
 	// defaultOrphanTTL bounds how long a persistent-cache entry no manager
-	// has reclaimed survives before the worker GCs it. Mirrored as
-	// params.DefaultOrphanTTL.
+	// has reclaimed survives before the worker GCs it.
 	defaultOrphanTTL = 10 * time.Minute
 	// defaultJournalCompactEvery is how many task completions the manager
-	// journals between snapshot compactions. Mirrored as
-	// params.DefaultJournalCompactEvery.
+	// journals between snapshot compactions.
 	defaultJournalCompactEvery = 512
-
-	// defaultDrainGrace is the grace window a preempted worker assumes when
-	// the preemption notice names none (SIGTERM carries no deadline):
-	// enough for in-flight analysis chunks to finish and sole-replica
-	// intermediates to offload. Mirrored as params.DefaultDrainGrace.
-	defaultDrainGrace = 30 * time.Second
 )
 
 // config is the merged pre-construction state for both constructors.
@@ -125,12 +117,6 @@ func (c config) netConfig() netConfig {
 // every input is served from the manager — the Work Queue data path.
 func WithPeerTransfers(on bool) Option {
 	return func(c *config) { c.mgr.PeerTransfers = on }
-}
-
-// WithTransferCap bounds concurrent outbound transfers from one worker
-// (manager; default 3).
-func WithTransferCap(n int) Option {
-	return func(c *config) { c.mgr.TransferCapPerSource = n }
 }
 
 // WithMaxRetries bounds per-task re-dispatches after worker failures or
@@ -406,18 +392,4 @@ func WithPreemptible(on bool) Option {
 // operator action (worker; default none; repeatable).
 func WithManagers(addrs ...string) Option {
 	return func(c *config) { c.wrk.Managers = append(c.wrk.Managers, addrs...) }
-}
-
-// WithManagerOptions applies a legacy ManagerOptions struct wholesale.
-//
-// Deprecated: use the individual With* options.
-func WithManagerOptions(opts ManagerOptions) Option {
-	return func(c *config) { c.mgr = opts }
-}
-
-// WithWorkerOptions applies a legacy WorkerOptions struct wholesale.
-//
-// Deprecated: use the individual With* options.
-func WithWorkerOptions(opts WorkerOptions) Option {
-	return func(c *config) { c.wrk = opts }
 }

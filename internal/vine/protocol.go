@@ -235,7 +235,7 @@ type leaseEntryWire struct {
 
 // leaseBatchMsg coalesces many leases into one frame. Batching is the
 // federation's dispatch-throughput lever: one envelope amortized over up
-// to DefaultLeaseBatch tiny tasks.
+// to defaultLeaseBatch tiny tasks.
 type leaseBatchMsg struct {
 	Leases []leaseEntryWire `json:"leases"`
 }

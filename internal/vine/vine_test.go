@@ -843,15 +843,19 @@ func TestManagerIntrospection(t *testing.T) {
 	if len(infos) != 2 {
 		t.Fatalf("workers = %d", len(infos))
 	}
-	cached := 0
+	cached, cachedBytes := 0, int64(0)
 	for _, wi := range infos {
 		if !wi.Alive || wi.Cores != 3 {
 			t.Fatalf("worker info wrong: %+v", wi)
 		}
 		cached += wi.CachedFiles
+		cachedBytes += wi.CacheBytes
 	}
 	if cached == 0 {
 		t.Fatal("no cached files visible")
+	}
+	if want := int64(len("echo:i")); cachedBytes != want*int64(cached) {
+		t.Fatalf("cache bytes = %d over %d files, want %d each", cachedBytes, cached, want)
 	}
 	counts := m.TaskCounts()
 	if counts[TaskDone] != 1 {

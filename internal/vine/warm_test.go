@@ -189,6 +189,82 @@ func TestWarmRestartCompactedJournal(t *testing.T) {
 	}
 }
 
+// A task still running when an automatic compaction fires must keep its
+// definition: compaction deletes the segment that held it, and the task's
+// completion lands in the tail. After a restart every resubmission,
+// including the one that was in flight, is warm and nothing executes.
+func TestCompactionKeepsInFlightDefinition(t *testing.T) {
+	release := make(chan struct{})
+	MustRegisterLibrary(&Library{
+		Name: "holdlib",
+		Funcs: map[string]Function{
+			"hold": func(c *Call) error {
+				<-release
+				c.SetOutput("out", []byte("held"))
+				return nil
+			},
+		},
+	})
+	runDir := t.TempDir()
+	jr := openJournal(t, runDir)
+	m1, w1 := durableCluster(t, runDir, jr, WithJournalCompactEvery(2), WithLibrary("holdlib", true))
+	held, err := m1.SubmitFunc(ModeTask, "holdlib", "hold", nil, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"a", "b"}
+	for _, a := range args {
+		h, err := m1.SubmitFunc(ModeTask, "testlib", "echo", []byte(a), "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Wait(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The second completion triggered a compaction whose snapshot is
+	// written off the manager lock; wait for it before letting held finish.
+	deadline := time.Now().Add(5 * time.Second)
+	for jr.Stats().Snapshots == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no automatic compaction after 2 completions")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := held.Wait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	m1.Stop()
+	w1.Stop()
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jr2 := openJournal(t, runDir)
+	defer jr2.Close()
+	m2, _ := durableCluster(t, runDir, jr2, WithLibrary("holdlib", true))
+	h, err := m2.SubmitFunc(ModeTask, "holdlib", "hold", nil, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.WarmHit() {
+		t.Fatal("task in flight at compaction was not warm after restart")
+	}
+	for _, a := range args {
+		h, err := m2.SubmitFunc(ModeTask, "testlib", "echo", []byte(a), "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h.WarmHit() {
+			t.Fatalf("task %q not warm after restart", a)
+		}
+	}
+	if st := m2.Stats(); st.TasksDone != 0 {
+		t.Fatalf("restart re-executed %d tasks, want 0", st.TasksDone)
+	}
+}
+
 func TestPersistentCacheScrubDropsCorruptEntry(t *testing.T) {
 	runDir := t.TempDir()
 	registerTestLib(t)

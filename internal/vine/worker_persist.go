@@ -38,7 +38,7 @@ import (
 const indexFileName = "index.jsonl"
 
 // defaultReconnectBackoff is the delay before each redial attempt unless
-// WithReconnect overrides it. Mirrored as params.DefaultReconnectBackoff.
+// WithReconnect overrides it.
 const defaultReconnectBackoff = 50 * time.Millisecond
 
 // indexLine is one sidecar record: an upsert, or a tombstone when Del.

@@ -27,7 +27,7 @@ type state struct {
 	eng     *sim.Engine
 	net     *netsim.Network
 	tracker *dag.Tracker
-	reps    *core.ReplicaTable
+	reps    *sched.Replicas
 	gov     *core.Governor
 	rng     *randx.RNG
 	policy  *sched.Policy
@@ -108,7 +108,7 @@ func Run(cfg Config, wl *core.Workload) *Result {
 	st.net = st.pool.Net
 	st.fs = storage.NewSharedFS(st.eng, st.net, cfg.FS)
 	st.rng = randx.NewStream(cfg.Seed, 13)
-	st.reps = core.NewReplicaTable()
+	st.reps = sched.NewReplicas()
 	st.gov = core.NewGovernor(cfg.TransferCap)
 	st.attempt = make(map[dag.Key]int)
 	st.execing = make(map[dag.Key]bool)
@@ -150,11 +150,11 @@ func Run(cfg Config, wl *core.Workload) *Result {
 	st.tracker = tr
 
 	for f, size := range wl.DatasetFiles {
-		st.reps.SetSize(f, size)
+		st.reps.SetSize(string(f), int64(size))
 	}
 	for _, k := range wl.Graph.Keys() {
 		spec := wl.Graph.Task(k).Spec.(*core.SimSpec)
-		st.reps.SetSize(core.OutputFileID(k), spec.OutputSize)
+		st.reps.SetSize(string(core.OutputFileID(k)), int64(spec.OutputSize))
 	}
 
 	st.res.PeakCachePerWorker = make([]units.Bytes, len(st.pool.Workers))
@@ -297,6 +297,10 @@ func (st *state) schedule() {
 		k := peek[0]
 		spec := st.wl.Graph.Task(k).Spec.(*core.SimSpec)
 		inputs := st.inputFiles(k, spec)
+		names := make([]string, len(inputs))
+		for i, f := range inputs {
+			names[i] = string(f)
+		}
 
 		// Present candidates in ascending node id (pool order) so the
 		// policy's first-wins tie-break reproduces the historical
@@ -308,7 +312,7 @@ func (st *state) schedule() {
 					ID:         w.ID,
 					Cores:      w.Cores,
 					FreeCores:  w.FreeCores,
-					LocalBytes: localBytes(st.reps, inputs, w.ID),
+					LocalBytes: st.reps.LocalBytes(w.ID, names),
 				})
 			}
 		}
@@ -354,19 +358,6 @@ func (st *state) schedule() {
 		}
 		st.mgrOp(st.dispatchCost(), func() { st.sendPayload(k, att) })
 	}
-}
-
-// localBytes sums the sizes of inputs already resident on a node — the
-// replica-table feed for the policy's locality scorer, mirroring the live
-// manager's per-worker file index.
-func localBytes(reps *core.ReplicaTable, inputs []storage.FileID, node int) int64 {
-	var local units.Bytes
-	for _, f := range inputs {
-		if reps.Holds(f, node) {
-			local += reps.Size(f)
-		}
-	}
-	return int64(local)
 }
 
 // inputFiles lists a task's input files: dataset files plus dep outputs.
@@ -453,7 +444,7 @@ func (st *state) stageInputs(k dag.Key, att int) {
 
 // stageOne moves one file to node.
 func (st *state) stageOne(k dag.Key, att int, f storage.FileID, node *cluster.Node, onArrive func()) {
-	size := st.reps.Size(f)
+	size := units.Bytes(st.reps.Size(string(f)))
 	_, isDataset := st.wl.DatasetFiles[f]
 
 	landFrom := func(src string) func() {
@@ -471,7 +462,7 @@ func (st *state) stageOne(k dag.Key, att int, f storage.FileID, node *cluster.No
 			st.record(obs.Event{Type: obs.EvTransferDone, Src: src,
 				Dst: node.Name, Bytes: int64(size), Detail: string(f)})
 			st.bumpPeak(node)
-			st.reps.Add(f, node.ID)
+			st.reps.Add(string(f), node.ID)
 			onArrive()
 		}
 	}
@@ -485,7 +476,7 @@ func (st *state) stageOne(k dag.Key, att int, f storage.FileID, node *cluster.No
 		if isDataset && !st.pool.Manager.Disk.Has(f) {
 			st.fs.Read(st.pool.Manager.EP, size, func() {
 				st.pool.Manager.Disk.Put(f, size)
-				st.reps.Add(f, st.pool.Manager.ID)
+				st.reps.Add(string(f), st.pool.Manager.ID)
 				st.res.FSReadBytes += size
 				st.res.ManagerCount++
 				startTransfer(st.pool.Manager.Name)
@@ -585,7 +576,7 @@ func (st *state) stageOne(k dag.Key, att int, f storage.FileID, node *cluster.No
 // load under maxLoad, or -1.
 func (st *state) pickSource(f storage.FileID, dest, maxLoad int) int {
 	best, bestLoad := -1, maxLoad
-	for _, h := range st.reps.Holders(f) {
+	for _, h := range st.reps.Holders(string(f)) {
 		if h == dest || h == st.pool.Manager.ID {
 			continue
 		}
@@ -708,7 +699,7 @@ func (st *state) completeOnWorker(k dag.Key, att int, node *cluster.Node) {
 			return
 		}
 		st.bumpPeak(node)
-		st.reps.Add(out, node.ID)
+		st.reps.Add(string(out), node.ID)
 	}
 	node.Release(1)
 
@@ -724,7 +715,7 @@ func (st *state) completeOnWorker(k dag.Key, att int, node *cluster.Node) {
 		// Output streams back to the manager before the task retires.
 		st.net.Transfer(node.EP, st.pool.Manager.EP, spec.OutputSize, func() {
 			st.pool.Manager.Disk.Put(out, spec.OutputSize)
-			st.reps.Add(out, st.pool.Manager.ID)
+			st.reps.Add(string(out), st.pool.Manager.ID)
 			retire()
 		})
 		return
@@ -815,9 +806,9 @@ func (st *state) onPreempt(node *cluster.Node) {
 
 	// Replicas on the node are gone; recover lost outputs that are still
 	// needed by re-running their producers.
-	orphaned := st.reps.DropNode(node.ID)
 	var lost []dag.Key
-	for _, f := range orphaned {
+	for _, name := range st.reps.DropHolder(node.ID) {
+		f := storage.FileID(name)
 		k, ok := keyOfOutput(f)
 		if !ok {
 			continue // dataset files persist on the shared FS
@@ -879,17 +870,17 @@ func (st *state) applyInvalidation(lost []dag.Key) {
 // files persist on the shared FS; the manager's copies persist in Work
 // Queue mode).
 func (st *state) evict(f storage.FileID) {
-	size := st.reps.Size(f)
-	for _, h := range st.reps.Holders(f) {
+	size := st.reps.Size(string(f))
+	for _, h := range st.reps.Holders(string(f)) {
 		if h == st.pool.Manager.ID {
 			continue
 		}
 		if w := st.workerByID(h); w != nil {
 			w.Disk.Del(f)
 			st.record(obs.Event{Type: obs.EvCacheEvict, Worker: w.Name,
-				Bytes: int64(size), Detail: string(f)})
+				Bytes: size, Detail: string(f)})
 		}
-		st.reps.Remove(f, h)
+		st.reps.Remove(string(f), h)
 	}
 }
 
@@ -928,7 +919,7 @@ func (st *state) node(k dag.Key) *cluster.Node {
 // liveHolders lists live worker nodes (≠exclude) holding f.
 func (st *state) liveHolders(f storage.FileID, exclude int) []int {
 	var out []int
-	for _, h := range st.reps.Holders(f) {
+	for _, h := range st.reps.Holders(string(f)) {
 		if h == exclude || h == st.pool.Manager.ID {
 			continue
 		}

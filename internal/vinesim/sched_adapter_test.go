@@ -1,68 +1,14 @@
 package vinesim
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"hepvine/internal/core"
 	"hepvine/internal/obs"
-	"hepvine/internal/randx"
 	"hepvine/internal/sched"
-	"hepvine/internal/storage"
 	"hepvine/internal/units"
 )
-
-// TestLocalityPolicyMatchesReplicaTablePick is the adapter's regression
-// oracle: placement through the shared sched.Locality policy must agree
-// with core.ReplicaTable.PickWorker (the legacy simulator path, kept for
-// exactly this comparison) on randomized replica tables and worker loads.
-func TestLocalityPolicyMatchesReplicaTablePick(t *testing.T) {
-	rng := randx.NewStream(99, 1)
-	pol := sched.Locality()
-	for trial := 0; trial < 2000; trial++ {
-		nWorkers := 1 + int(rng.Uint64()%12)
-		nFiles := int(rng.Uint64() % 8)
-		reps := core.NewReplicaTable()
-		var inputs []storage.FileID
-		for i := 0; i < nFiles; i++ {
-			f := storage.FileID(fmt.Sprintf("f%d", i))
-			inputs = append(inputs, f)
-			reps.SetSize(f, units.Bytes(rng.Uint64()%5)*100*units.MB)
-			for n := 1; n <= nWorkers; n++ {
-				if rng.Uint64()%3 == 0 {
-					reps.Add(f, n)
-				}
-			}
-		}
-		var legacy []core.Candidate
-		var cands []sched.Candidate
-		for n := 1; n <= nWorkers; n++ {
-			if rng.Uint64()%4 == 0 {
-				continue // worker busy or dead
-			}
-			free := 1 + int(rng.Uint64()%8)
-			legacy = append(legacy, core.Candidate{Node: n, FreeCores: free})
-			cands = append(cands, sched.Candidate{
-				ID: n, Cores: 8, FreeCores: free,
-				LocalBytes: localBytes(reps, inputs, n),
-			})
-		}
-		if len(legacy) == 0 {
-			continue
-		}
-		want := reps.PickWorker(legacy, inputs)
-		idx, _ := pol.Pick(&sched.Task{ID: "t", Cores: 1}, cands)
-		if idx < 0 {
-			t.Fatalf("trial %d: policy rejected all of %d candidates", trial, len(cands))
-		}
-		if got := cands[idx].ID; got != want {
-			t.Fatalf("trial %d: locality policy chose node %d, legacy chose %d\ncands: %+v",
-				trial, got, want, cands)
-		}
-	}
-}
 
 // TestPolicyNamesRunAndDiverge runs the tiny workload under every stock
 // policy: each must complete, report queue waits, and emit one
