@@ -78,6 +78,9 @@ func (DV3Processor) Process(ev *coffea.NanoEvents) (*coffea.HistSet, error) {
 	hJetPt := hist.New(hist.Reg(80, 0, 800, "jet_pt"))
 	hNJet := hist.New(hist.Reg(12, 0, 12, "njet_sel"))
 
+	// sel is reused across events: one backing array per chunk.
+	type jet struct{ pt, eta, phi, m, b float64 }
+	var sel []jet
 	off := 0
 	for i := 0; i < len(pt.Counts); i++ {
 		n := pt.Counts[i]
@@ -85,8 +88,7 @@ func (DV3Processor) Process(ev *coffea.NanoEvents) (*coffea.HistSet, error) {
 		hMET.FillW(w, met[i])
 
 		// Select analysis jets.
-		type jet struct{ pt, eta, phi, m, b float64 }
-		var sel []jet
+		sel = sel[:0]
 		for j := off; j < off+n; j++ {
 			if pt.Values[j] > dv3JetPtMin && math.Abs(eta.Values[j]) < dv3JetEtaMax {
 				sel = append(sel, jet{pt.Values[j], eta.Values[j], phi.Values[j], mass.Values[j], btag.Values[j]})
@@ -171,11 +173,12 @@ func (TriPhotonProcessor) Process(ev *coffea.NanoEvents) (*coffea.HistSet, error
 	hPt := hist.New(hist.Reg(60, 0, 600, "photon_pt"))
 	hN := hist.New(hist.Reg(6, 0, 6, "nphoton_sel"))
 
+	var sel []pho // reused across events
 	off := 0
 	for i := 0; i < len(pt.Counts); i++ {
 		n := pt.Counts[i]
 		w := weights[i]
-		var sel []pho
+		sel = sel[:0]
 		for j := off; j < off+n; j++ {
 			if tight.Values[j] > 0.5 && pt.Values[j] > triPhotonPtMin && math.Abs(eta.Values[j]) < triPhotonEtaMax {
 				sel = append(sel, pho{pt.Values[j], eta.Values[j], phi.Values[j]})

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Column encodings. Real NanoAOD stores most kinematics as float32 and
@@ -55,11 +56,32 @@ func (e Encoding) quantize(v float64) float64 {
 	}
 }
 
+// storedLenOK reports whether a basket of length bytes can hold n values
+// under the encoding: exactly 8 or 4 bytes per value for the fixed widths,
+// 1 to MaxVarintLen64 bytes per value for varints. length must be
+// non-negative.
+func (e Encoding) storedLenOK(length, n int64) bool {
+	switch e {
+	case EncF64:
+		return length%8 == 0 && length/8 == n
+	case EncF32:
+		return length%4 == 0 && length/4 == n
+	case EncVarint:
+		return n <= length && (length+binary.MaxVarintLen64-1)/binary.MaxVarintLen64 <= n
+	default:
+		return false
+	}
+}
+
 // encodeColumn serializes values under the encoding.
 func encodeColumn(e Encoding, vals []float64) ([]byte, error) {
 	switch e {
 	case EncF64:
-		return float64sToBytes(vals), nil
+		out := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+		}
+		return out, nil
 	case EncF32:
 		out := make([]byte, 4*len(vals))
 		for i, v := range vals {
@@ -83,41 +105,43 @@ func encodeColumn(e Encoding, vals []float64) ([]byte, error) {
 	}
 }
 
-// decodeColumn deserializes nValues values under the encoding.
-func decodeColumn(e Encoding, data []byte, nValues int64) ([]float64, error) {
+// decodeColumnInto appends values [skip, skip+n) of a basket that stores
+// nValues values under the encoding in data to dst. Fixed-width values are
+// decoded straight from their byte offsets; varints before skip are stepped
+// over.
+func decodeColumnInto(dst []float64, e Encoding, data []byte, nValues, skip, n int64) ([]float64, error) {
+	if !e.storedLenOK(int64(len(data)), nValues) || skip < 0 || n < 0 || skip+n > nValues {
+		return nil, fmt.Errorf("rootio: %v basket of %d bytes cannot hold values [%d,%d) of %d", e, len(data), skip, skip+n, nValues)
+	}
 	switch e {
 	case EncF64:
-		vals, err := bytesToFloat64s(data)
-		if err != nil {
-			return nil, err
+		base := len(dst)
+		dst = slices.Grow(dst, int(n))[:base+int(n)]
+		data = data[8*skip:]
+		for i := range dst[base:] {
+			dst[base+i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
-		if int64(len(vals)) != nValues {
-			return nil, fmt.Errorf("rootio: f64 basket holds %d values, want %d", len(vals), nValues)
-		}
-		return vals, nil
+		return dst, nil
 	case EncF32:
-		if int64(len(data)) != 4*nValues {
-			return nil, fmt.Errorf("rootio: f32 basket is %d bytes for %d values", len(data), nValues)
+		base := len(dst)
+		dst = slices.Grow(dst, int(n))[:base+int(n)]
+		data = data[4*skip:]
+		for i := range dst[base:] {
+			dst[base+i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:])))
 		}
-		out := make([]float64, nValues)
-		for i := range out {
-			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[i*4:])))
-		}
-		return out, nil
+		return dst, nil
 	case EncVarint:
-		out := make([]float64, 0, nValues)
-		for len(data) > 0 && int64(len(out)) < nValues {
-			iv, n := binary.Varint(data)
-			if n <= 0 {
+		for i := int64(0); i < skip+n; i++ {
+			iv, k := binary.Varint(data)
+			if k <= 0 {
 				return nil, fmt.Errorf("rootio: corrupt varint basket")
 			}
-			out = append(out, float64(iv))
-			data = data[n:]
+			data = data[k:]
+			if i >= skip {
+				dst = append(dst, float64(iv))
+			}
 		}
-		if int64(len(out)) != nValues {
-			return nil, fmt.Errorf("rootio: varint basket holds %d values, want %d", len(out), nValues)
-		}
-		return out, nil
+		return dst, nil
 	default:
 		return nil, fmt.Errorf("rootio: unknown encoding %v", e)
 	}

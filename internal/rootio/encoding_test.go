@@ -16,7 +16,7 @@ func TestEncodingRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", enc, err)
 		}
-		got, err := decodeColumn(enc, raw, int64(len(vals)))
+		got, err := decodeColumnInto(nil, enc, raw, int64(len(vals)), 0, int64(len(vals)))
 		if err != nil {
 			t.Fatalf("%v: %v", enc, err)
 		}
@@ -31,7 +31,7 @@ func TestEncodingRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeColumn(EncVarint, raw, int64(len(ints)))
+	got, err := decodeColumnInto(nil, EncVarint, raw, int64(len(ints)), 0, int64(len(ints)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +144,8 @@ func TestEncodedRoundTripThroughFile(t *testing.T) {
 		}
 	}
 	// Introspection carries the encoding.
-	def, err := rd.BranchDef("nJet")
-	if err != nil || def.Enc != EncVarint {
-		t.Fatalf("nJet def = %+v (%v)", def, err)
+	if def := rd.Branches()[11]; def.Name != "nJet" || def.Enc != EncVarint {
+		t.Fatalf("branch 11 = %+v, want nJet as varint", def)
 	}
 }
 
@@ -167,7 +166,7 @@ func TestEncodingRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := decodeColumn(enc, raw, int64(n))
+		got, err := decodeColumnInto(nil, enc, raw, int64(n), 0, int64(n))
 		if err != nil {
 			return false
 		}
@@ -185,14 +184,73 @@ func TestEncodingRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeColumnRejectsCorrupt(t *testing.T) {
-	if _, err := decodeColumn(EncF32, []byte{1, 2, 3}, 1); err == nil {
+	if _, err := decodeColumnInto(nil, EncF32, []byte{1, 2, 3}, 1, 0, 1); err == nil {
 		t.Fatal("short f32 accepted")
 	}
-	if _, err := decodeColumn(EncVarint, []byte{0x80}, 1); err == nil {
+	if _, err := decodeColumnInto(nil, EncVarint, []byte{0x80}, 1, 0, 1); err == nil {
 		t.Fatal("truncated varint accepted")
 	}
-	if _, err := decodeColumn(Encoding(9), nil, 0); err == nil {
+	if _, err := decodeColumnInto(nil, Encoding(9), nil, 0, 0, 0); err == nil {
 		t.Fatal("unknown encoding accepted")
+	}
+	if _, err := decodeColumnInto(nil, EncF64, make([]byte, 16), 2, 1, 2); err == nil {
+		t.Fatal("range past the basket accepted")
+	}
+}
+
+// A sub-range decode appends exactly values [skip, skip+n) of the basket
+// after whatever dst already holds, under every encoding.
+func TestDecodeColumnIntoSubRange(t *testing.T) {
+	vals := []float64{5, -3, 300, 0, 7, 1 << 20, -9}
+	for _, enc := range []Encoding{EncF64, EncF32, EncVarint} {
+		raw, err := encodeColumn(enc, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nv := int64(len(vals))
+		for skip := int64(0); skip <= nv; skip++ {
+			for n := int64(0); skip+n <= nv; n++ {
+				got, err := decodeColumnInto([]float64{42}, enc, raw, nv, skip, n)
+				if err != nil {
+					t.Fatalf("%v [%d,+%d): %v", enc, skip, n, err)
+				}
+				if int64(len(got)) != 1+n || got[0] != 42 {
+					t.Fatalf("%v [%d,+%d): got %v", enc, skip, n, got)
+				}
+				for i, v := range got[1:] {
+					if v != vals[skip+int64(i)] {
+						t.Fatalf("%v [%d,+%d): [%d] = %v", enc, skip, n, i, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestStoredLenOK(t *testing.T) {
+	for _, c := range []struct {
+		enc    Encoding
+		len, n int64
+		wantOK bool
+	}{
+		{EncF64, 80, 10, true},
+		{EncF64, 79, 10, false},
+		{EncF64, 80, 11, false},
+		{EncF32, 40, 10, true},
+		{EncF32, 40, 20, false},
+		{EncF32, 0, 0, true},
+		{EncVarint, 10, 10, true},
+		{EncVarint, 100, 10, true},
+		{EncVarint, 101, 10, false},
+		{EncVarint, 9, 10, false},
+		{EncVarint, 0, 0, true},
+		{EncVarint, 1, 0, false},
+		{EncF64, 0, -1, false},
+		{EncVarint, 10, -1, false},
+	} {
+		if got := c.enc.storedLenOK(c.len, c.n); got != c.wantOK {
+			t.Errorf("%v: %d bytes for %d values: ok=%v, want %v", c.enc, c.len, c.n, got, c.wantOK)
+		}
 	}
 }
 

@@ -4,9 +4,9 @@
 //
 // The format ("VRT1") keeps the properties the paper's data path depends on:
 //
-//   - column-oriented storage: each branch (column) is stored in separately
-//     compressed baskets, so an analysis that touches three branches out of
-//     forty reads only those bytes (the access pattern XRootD exploits);
+//   - column-oriented storage: each branch (column) is stored in its own
+//     baskets, so an analysis that touches three branches out of forty
+//     reads only those bytes (the access pattern XRootD exploits);
 //   - basket (row-group) granularity: chunked reads let Coffea-style
 //     partitioning map N events → M tasks without touching whole files;
 //   - jagged collections: per-event variable-length collections (photons,
@@ -16,12 +16,14 @@
 // Layout:
 //
 //	header : magic "VRT1" | version u32
-//	body   : compressed basket blocks, in arbitrary order
+//	body   : basket blocks, in arbitrary order
 //	footer : branch table + basket index (binary), footer length u32,
 //	         trailing magic "1TRV"
 //
-// All integers are little-endian. Values are float64. Compression is
-// DEFLATE via compress/flate (stdlib only).
+// All integers are little-endian. A basket holds its values exactly as the
+// branch encoding lays them out (see Encoding), with no entropy stage on top,
+// so a reader decodes the stored bytes straight into the caller's slice.
+// Readers hand every value to the analysis layer as float64.
 package rootio
 
 import (
@@ -29,7 +31,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Magic numbers framing a file.
@@ -38,9 +39,10 @@ var (
 	trailerMagic = [4]byte{'1', 'T', 'R', 'V'}
 )
 
-// FormatVersion is the on-disk format version this package writes.
-// Version 2 added per-branch encodings.
-const FormatVersion = 2
+// FormatVersion is the on-disk format version this package writes and the
+// only one it reads. Version 2 added per-branch encodings; version 3 dropped
+// the DEFLATE stage, so a basket's stored length is its encoded length.
+const FormatVersion = 3
 
 // Kind describes how a branch relates to events.
 type Kind uint8
@@ -80,12 +82,11 @@ type BranchDef struct {
 	Enc Encoding
 }
 
-// basketLoc locates one compressed basket within the file body.
+// basketLoc locates one basket within the file body.
 type basketLoc struct {
-	Offset     int64
-	Compressed int64
-	Raw        int64 // uncompressed byte length (8 * nValues)
-	NValues    int64
+	Offset  int64
+	Len     int64 // stored (= encoded) byte length
+	NValues int64
 }
 
 // branchMeta is the footer record for one branch.
@@ -116,13 +117,20 @@ func (f *footer) encode() []byte {
 		putU32(&b, uint32(len(br.Baskets)))
 		for _, bk := range br.Baskets {
 			putI64(&b, bk.Offset)
-			putI64(&b, bk.Compressed)
-			putI64(&b, bk.Raw)
+			putI64(&b, bk.Len)
 			putI64(&b, bk.NValues)
 		}
 	}
 	return b.Bytes()
 }
+
+// Fixed byte sizes: the file header, one basket record in the footer, and
+// the smallest possible branch record (empty strings, no baskets).
+const (
+	headerLen          = int64(len(headerMagic)) + 4
+	basketRecordLen    = 3 * 8
+	minBranchRecordLen = 4 + 1 + 1 + 4 + 4
+)
 
 func decodeFooter(data []byte) (*footer, error) {
 	r := bytes.NewReader(data)
@@ -140,14 +148,15 @@ func decodeFooter(data []byte) (*footer, error) {
 	if f.BasketSize, err = getI64(r); err != nil {
 		return nil, err
 	}
-	if f.BasketSize <= 0 {
-		return nil, fmt.Errorf("rootio: invalid basket size %d", f.BasketSize)
+	if f.NEvents < 0 || f.BasketSize <= 0 {
+		return nil, fmt.Errorf("rootio: invalid event count %d or basket size %d", f.NEvents, f.BasketSize)
 	}
 	nb, err := getU32(r)
 	if err != nil {
 		return nil, err
 	}
-	if nb > 1<<16 {
+	// Bound every count by the bytes left before allocating for it.
+	if int64(nb) > int64(r.Len())/minBranchRecordLen {
 		return nil, fmt.Errorf("rootio: implausible branch count %d", nb)
 	}
 	f.Branches = make([]branchMeta, nb)
@@ -161,6 +170,9 @@ func decodeFooter(data []byte) (*footer, error) {
 			return nil, err
 		}
 		br.Def.Kind = Kind(kb)
+		if br.Def.Kind > KindJagged {
+			return nil, fmt.Errorf("rootio: branch %q has unknown kind %d", br.Def.Name, kb)
+		}
 		eb, err := r.ReadByte()
 		if err != nil {
 			return nil, err
@@ -176,7 +188,7 @@ func decodeFooter(data []byte) (*footer, error) {
 		if err != nil {
 			return nil, err
 		}
-		if nk > 1<<24 {
+		if int64(nk) > int64(r.Len())/basketRecordLen {
 			return nil, fmt.Errorf("rootio: implausible basket count %d", nk)
 		}
 		br.Baskets = make([]basketLoc, nk)
@@ -185,10 +197,7 @@ func decodeFooter(data []byte) (*footer, error) {
 			if bk.Offset, err = getI64(r); err != nil {
 				return nil, err
 			}
-			if bk.Compressed, err = getI64(r); err != nil {
-				return nil, err
-			}
-			if bk.Raw, err = getI64(r); err != nil {
+			if bk.Len, err = getI64(r); err != nil {
 				return nil, err
 			}
 			if bk.NValues, err = getI64(r); err != nil {
@@ -197,6 +206,46 @@ func decodeFooter(data []byte) (*footer, error) {
 		}
 	}
 	return f, nil
+}
+
+// validate checks the decoded index against itself and against the file
+// body [headerLen, bodyEnd), so that no later read trusts an unchecked
+// offset, length or count: every basket lies inside the body and is as long
+// as its encoding makes nValues values, every branch has one basket per
+// BasketSize events, every flat or counts basket holds one value per event,
+// and every jagged branch names a counts branch.
+func (f *footer) validate(bodyEnd int64) error {
+	nBaskets := f.NEvents / f.BasketSize
+	if f.NEvents%f.BasketSize != 0 {
+		nBaskets++
+	}
+	kinds := make(map[string]Kind, len(f.Branches))
+	for _, br := range f.Branches {
+		kinds[br.Def.Name] = br.Def.Kind
+	}
+	for _, br := range f.Branches {
+		d := br.Def
+		if d.Kind == KindJagged && kinds[d.Counts] != KindCounts {
+			return fmt.Errorf("rootio: jagged branch %q has no counts branch %q", d.Name, d.Counts)
+		}
+		if int64(len(br.Baskets)) != nBaskets {
+			return fmt.Errorf("rootio: branch %q has %d baskets for %d events, want %d", d.Name, len(br.Baskets), f.NEvents, nBaskets)
+		}
+		for bi, bk := range br.Baskets {
+			if bk.Offset < headerLen || bk.Len < 0 || bk.Offset > bodyEnd || bk.Len > bodyEnd-bk.Offset {
+				return fmt.Errorf("rootio: basket %d of %q at [%d,+%d) lies outside the body [%d,%d)", bi, d.Name, bk.Offset, bk.Len, headerLen, bodyEnd)
+			}
+			if !d.Enc.storedLenOK(bk.Len, bk.NValues) {
+				return fmt.Errorf("rootio: basket %d of %q is %d bytes, which cannot hold %d %v values", bi, d.Name, bk.Len, bk.NValues, d.Enc)
+			}
+			if d.Kind != KindJagged {
+				if want := min(f.BasketSize, f.NEvents-int64(bi)*f.BasketSize); bk.NValues != want {
+					return fmt.Errorf("rootio: basket %d of %q holds %d values for %d events", bi, d.Name, bk.NValues, want)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func putU32(b *bytes.Buffer, v uint32) {
@@ -237,31 +286,12 @@ func getString(r *bytes.Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > 1<<16 {
-		return "", fmt.Errorf("rootio: implausible string length %d", n)
+	if int64(n) > int64(r.Len()) {
+		return "", fmt.Errorf("rootio: truncated footer string of %d bytes", n)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", fmt.Errorf("rootio: truncated footer string: %w", err)
 	}
 	return string(buf), nil
-}
-
-func float64sToBytes(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
-	return out
-}
-
-func bytesToFloat64s(data []byte) ([]float64, error) {
-	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("rootio: basket payload not a multiple of 8 (%d bytes)", len(data))
-	}
-	out := make([]float64, len(data)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-	}
-	return out, nil
 }

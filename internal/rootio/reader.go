@@ -1,8 +1,7 @@
 package rootio
 
 import (
-	"bytes"
-	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -11,16 +10,19 @@ import (
 // Reader provides column-selective, range-selective access to a VRT1 file,
 // the access pattern the paper's analyses use against ROOT via uproot and
 // XRootD: read only the branches a processor touches, only for the event
-// range of one chunk.
+// range of one chunk. A Reader is safe for concurrent use: each read keeps
+// its scratch buffers to itself.
 type Reader struct {
 	r      io.ReaderAt
 	footer *footer
 	byName map[string]int
 }
 
-// NewReader opens a file image of the given total size.
+// NewReader opens a file image of the given total size. It checks the whole
+// index against the file before returning, so a corrupt or hostile footer is
+// an error here rather than a bad allocation later.
 func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
-	if size < int64(len(headerMagic))+8 {
+	if size < headerLen+8 {
 		return nil, fmt.Errorf("rootio: file too small (%d bytes)", size)
 	}
 	var head [4]byte
@@ -37,16 +39,20 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	if [4]byte(tail[4:8]) != trailerMagic {
 		return nil, fmt.Errorf("rootio: bad trailer magic")
 	}
-	ftLen := int64(uint32(tail[0]) | uint32(tail[1])<<8 | uint32(tail[2])<<16 | uint32(tail[3])<<24)
-	if ftLen <= 0 || ftLen > size-8 {
+	ftLen := int64(binary.LittleEndian.Uint32(tail[:4]))
+	bodyEnd := size - 8 - ftLen
+	if ftLen <= 0 || bodyEnd < headerLen {
 		return nil, fmt.Errorf("rootio: implausible footer length %d", ftLen)
 	}
 	ftBuf := make([]byte, ftLen)
-	if _, err := r.ReadAt(ftBuf, size-8-ftLen); err != nil {
+	if _, err := r.ReadAt(ftBuf, bodyEnd); err != nil {
 		return nil, err
 	}
 	ft, err := decodeFooter(ftBuf)
 	if err != nil {
+		return nil, err
+	}
+	if err := ft.validate(bodyEnd); err != nil {
 		return nil, err
 	}
 	rd := &Reader{r: r, footer: ft, byName: make(map[string]int, len(ft.Branches))}
@@ -90,42 +96,50 @@ func (rd *Reader) Branches() []BranchDef {
 	return defs
 }
 
-// HasBranch reports whether the file contains the named branch.
-func (rd *Reader) HasBranch(name string) bool {
-	_, ok := rd.byName[name]
-	return ok
-}
-
-// BranchDef returns the definition of the named branch.
-func (rd *Reader) BranchDef(name string) (BranchDef, error) {
-	i, ok := rd.byName[name]
-	if !ok {
-		return BranchDef{}, fmt.Errorf("rootio: no branch %q", name)
-	}
-	return rd.footer.Branches[i].Def, nil
-}
-
-// readBasket decompresses and decodes basket bi of branch index bri.
-func (rd *Reader) readBasket(bri, bi int) ([]float64, error) {
-	br := rd.footer.Branches[bri]
-	bk := br.Baskets[bi]
-	comp := make([]byte, bk.Compressed)
-	if _, err := rd.r.ReadAt(comp, bk.Offset); err != nil {
-		return nil, fmt.Errorf("rootio: reading basket: %w", err)
-	}
-	fr := flate.NewReader(bytes.NewReader(comp))
-	raw := make([]byte, bk.Raw)
-	if _, err := io.ReadFull(fr, raw); err != nil {
-		return nil, fmt.Errorf("rootio: decompressing basket: %w", err)
-	}
-	fr.Close()
-	return decodeColumn(br.Def.Enc, raw, bk.NValues)
-}
-
 // basketRange reports which baskets cover events [lo, hi).
 func (rd *Reader) basketRange(lo, hi int64) (first, last int) {
 	bs := rd.footer.BasketSize
 	return int(lo / bs), int((hi - 1) / bs)
+}
+
+// basketBuf returns a scratch buffer that holds any of baskets first..last
+// of the given branches, so one call reads all of them through it.
+func (rd *Reader) basketBuf(first, last int, branches ...int) []byte {
+	var n int64
+	for _, bri := range branches {
+		for _, bk := range rd.footer.Branches[bri].Baskets[first : last+1] {
+			n = max(n, bk.Len)
+		}
+	}
+	return make([]byte, n)
+}
+
+// readBasket reads basket bi of branch bri with one ReadAt into buf and
+// appends its values [skip, skip+n) to dst.
+func (rd *Reader) readBasket(dst []float64, buf []byte, bri, bi int, skip, n int64) ([]float64, error) {
+	br := &rd.footer.Branches[bri]
+	bk := br.Baskets[bi]
+	buf = buf[:bk.Len]
+	if _, err := rd.r.ReadAt(buf, bk.Offset); err != nil {
+		return nil, fmt.Errorf("rootio: reading basket: %w", err)
+	}
+	return decodeColumnInto(dst, br.Def.Enc, buf, bk.NValues, skip, n)
+}
+
+// readFlatInto appends the values of flat or counts branch bri for events
+// [lo, hi) to dst.
+func (rd *Reader) readFlatInto(dst []float64, buf []byte, bri int, lo, hi int64) ([]float64, error) {
+	bs := rd.footer.BasketSize
+	first, last := rd.basketRange(lo, hi)
+	var err error
+	for bi := first; bi <= last; bi++ {
+		bLo := int64(bi) * bs
+		s, e := max(lo, bLo), min(hi, bLo+bs)
+		if dst, err = rd.readBasket(dst, buf, bri, bi, s-bLo, e-s); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // ReadFlat reads values of a flat or counts branch for events [lo, hi).
@@ -134,8 +148,7 @@ func (rd *Reader) ReadFlat(name string, lo, hi int64) ([]float64, error) {
 	if !ok {
 		return nil, fmt.Errorf("rootio: no branch %q", name)
 	}
-	def := rd.footer.Branches[bri].Def
-	if def.Kind == KindJagged {
+	if rd.footer.Branches[bri].Def.Kind == KindJagged {
 		return nil, fmt.Errorf("rootio: branch %q is jagged; use ReadJagged", name)
 	}
 	if err := rd.checkRange(lo, hi); err != nil {
@@ -144,25 +157,8 @@ func (rd *Reader) ReadFlat(name string, lo, hi int64) ([]float64, error) {
 	if lo == hi {
 		return nil, nil
 	}
-	bs := rd.footer.BasketSize
 	first, last := rd.basketRange(lo, hi)
-	out := make([]float64, 0, hi-lo)
-	for bi := first; bi <= last; bi++ {
-		vals, err := rd.readBasket(bri, bi)
-		if err != nil {
-			return nil, err
-		}
-		bLo := int64(bi) * bs
-		s, e := int64(0), int64(len(vals))
-		if lo > bLo {
-			s = lo - bLo
-		}
-		if hi-bLo < e {
-			e = hi - bLo
-		}
-		out = append(out, vals[s:e]...)
-	}
-	return out, nil
+	return rd.readFlatInto(make([]float64, 0, hi-lo), rd.basketBuf(first, last, bri), bri, lo, hi)
 }
 
 // Jagged holds a jagged column slice: Counts[i] elements of event i live in
@@ -172,19 +168,9 @@ type Jagged struct {
 	Values []float64
 }
 
-// NEventsJ reports the number of events covered.
-func (j Jagged) NEventsJ() int { return len(j.Counts) }
-
-// Event returns the values of event i (0-based within the slice).
-func (j Jagged) Event(i int) []float64 {
-	off := 0
-	for k := 0; k < i; k++ {
-		off += j.Counts[k]
-	}
-	return j.Values[off : off+j.Counts[i]]
-}
-
 // ReadJagged reads a jagged branch (with its counts) for events [lo, hi).
+// Each counts basket is read once: its counts both fill Counts and locate
+// the range's values within the matching value basket.
 func (rd *Reader) ReadJagged(name string, lo, hi int64) (Jagged, error) {
 	bri, ok := rd.byName[name]
 	if !ok {
@@ -197,55 +183,50 @@ func (rd *Reader) ReadJagged(name string, lo, hi int64) (Jagged, error) {
 	if err := rd.checkRange(lo, hi); err != nil {
 		return Jagged{}, err
 	}
-	countsF, err := rd.ReadFlat(def.Counts, lo, hi)
-	if err != nil {
-		return Jagged{}, err
-	}
-	counts := make([]int, len(countsF))
-	total := 0
-	for i, c := range countsF {
-		counts[i] = int(c)
-		total += counts[i]
-	}
-	out := Jagged{Counts: counts, Values: make([]float64, 0, total)}
 	if lo == hi {
-		return out, nil
+		return Jagged{}, nil
 	}
-
 	bs := rd.footer.BasketSize
 	first, last := rd.basketRange(lo, hi)
 	cbri := rd.byName[def.Counts]
+	buf := rd.basketBuf(first, last, bri, cbri)
+	// Counts from the first basket's start: the events before lo locate
+	// lo's first value within that basket.
+	fLo := int64(first) * bs
+	cf, err := rd.readFlatInto(make([]float64, 0, hi-fLo), buf, cbri, fLo, hi)
+	if err != nil {
+		return Jagged{}, err
+	}
+	out := Jagged{Counts: make([]int, hi-lo)}
+	var skip, total int64
 	for bi := first; bi <= last; bi++ {
-		vals, err := rd.readBasket(bri, bi)
-		if err != nil {
-			return Jagged{}, err
-		}
-		// Event range within this basket.
 		bLo := int64(bi) * bs
-		evS, evE := int64(0), min64(bs, rd.footer.NEvents-bLo)
-		if lo > bLo {
-			evS = lo - bLo
+		room := rd.footer.Branches[bri].Baskets[bi].NValues
+		for ev := bLo; ev < min(hi, bLo+bs); ev++ {
+			c := cf[ev-fLo]
+			if !(c >= 0 && c <= float64(room)) {
+				return Jagged{}, fmt.Errorf("rootio: jagged basket %d of %q shorter than counts imply", bi, name)
+			}
+			room -= int64(c)
+			if ev < lo {
+				skip += int64(c)
+			} else {
+				out.Counts[ev-lo] = int(c)
+				total += int64(c)
+			}
 		}
-		if hi-bLo < evE {
-			evE = hi - bLo
+	}
+	out.Values = make([]float64, 0, total)
+	for bi := first; bi <= last; bi++ {
+		bLo := int64(bi) * bs
+		var n int64
+		for _, c := range out.Counts[max(lo, bLo)-lo : min(hi, bLo+bs)-lo] {
+			n += int64(c)
 		}
-		// Value offsets within the basket come from the basket's counts.
-		bCounts, err := rd.readBasket(cbri, bi)
-		if err != nil {
+		if out.Values, err = rd.readBasket(out.Values, buf, bri, bi, skip, n); err != nil {
 			return Jagged{}, err
 		}
-		var vOff int64
-		for e := int64(0); e < evS; e++ {
-			vOff += int64(bCounts[e])
-		}
-		var vLen int64
-		for e := evS; e < evE; e++ {
-			vLen += int64(bCounts[e])
-		}
-		if vOff+vLen > int64(len(vals)) {
-			return Jagged{}, fmt.Errorf("rootio: jagged basket %d of %q shorter than counts imply", bi, name)
-		}
-		out.Values = append(out.Values, vals[vOff:vOff+vLen]...)
+		skip = 0
 	}
 	return out, nil
 }
@@ -257,16 +238,9 @@ func (rd *Reader) checkRange(lo, hi int64) error {
 	return nil
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ColumnBytes estimates the compressed bytes that reading the named branches
-// over events [lo, hi) touches; the simulation plane uses this to charge
-// realistic I/O volumes for column-selective reads.
+// ColumnBytes reports the stored bytes that reading the named branches over
+// events [lo, hi) touches, whole baskets included; the simulation plane uses
+// this to charge realistic I/O volumes for column-selective reads.
 func (rd *Reader) ColumnBytes(names []string, lo, hi int64) (int64, error) {
 	if err := rd.checkRange(lo, hi); err != nil {
 		return 0, err
@@ -281,8 +255,8 @@ func (rd *Reader) ColumnBytes(names []string, lo, hi int64) (int64, error) {
 		if !ok {
 			return 0, fmt.Errorf("rootio: no branch %q", name)
 		}
-		for bi := first; bi <= last && bi < len(rd.footer.Branches[bri].Baskets); bi++ {
-			total += rd.footer.Branches[bri].Baskets[bi].Compressed
+		for _, bk := range rd.footer.Branches[bri].Baskets[first : last+1] {
+			total += bk.Len
 		}
 	}
 	return total, nil

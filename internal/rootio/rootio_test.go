@@ -25,7 +25,8 @@ func (m *memFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-func writeMem(t *testing.T, defs []BranchDef, basketSize, nEvents int, cols map[string][]float64) *Reader {
+// encodeMem writes a complete file image from columns.
+func encodeMem(t testing.TB, defs []BranchDef, basketSize, nEvents int, cols map[string][]float64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, defs, basketSize)
@@ -38,7 +39,13 @@ func writeMem(t *testing.T, defs []BranchDef, basketSize, nEvents int, cols map[
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := NewReader(&memFile{buf.Bytes()}, int64(buf.Len()))
+	return buf.Bytes()
+}
+
+func writeMem(t *testing.T, defs []BranchDef, basketSize, nEvents int, cols map[string][]float64) *Reader {
+	t.Helper()
+	data := encodeMem(t, defs, basketSize, nEvents, cols)
+	rd, err := NewReader(&memFile{data}, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,22 +199,6 @@ func TestJaggedRangeReads(t *testing.T) {
 	}
 }
 
-func TestJaggedEventAccessor(t *testing.T) {
-	j := Jagged{Counts: []int{2, 0, 3}, Values: []float64{1, 2, 10, 11, 12}}
-	if got := j.Event(0); len(got) != 2 || got[0] != 1 {
-		t.Fatalf("event 0 = %v", got)
-	}
-	if got := j.Event(1); len(got) != 0 {
-		t.Fatalf("event 1 = %v", got)
-	}
-	if got := j.Event(2); len(got) != 3 || got[2] != 12 {
-		t.Fatalf("event 2 = %v", got)
-	}
-	if j.NEventsJ() != 3 {
-		t.Fatalf("NEventsJ = %d", j.NEventsJ())
-	}
-}
-
 func TestWriteEventAPI(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, jaggedDefs(), 4)
@@ -294,38 +285,48 @@ func TestReaderRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// Stored bytes are the encoded width, counted whole baskets at a time:
+// additive across branches and shrinking with the event range.
 func TestColumnBytesSelective(t *testing.T) {
 	n := 1000
-	cols := map[string][]float64{"a": make([]float64, n), "b": make([]float64, n)}
+	defs := []BranchDef{
+		{Name: "a", Kind: KindFlat, Enc: EncF64},
+		{Name: "b", Kind: KindFlat, Enc: EncF32},
+		{Name: "c", Kind: KindFlat, Enc: EncVarint},
+	}
+	cols := map[string][]float64{"a": make([]float64, n), "b": make([]float64, n), "c": make([]float64, n)}
 	for i := 0; i < n; i++ {
-		cols["a"][i] = float64(i) // compresses poorly-ish
-		cols["b"][i] = 1.0        // compresses well
+		cols["a"][i] = float64(i) * 0.5
+		cols["b"][i] = float64(i)
+		cols["c"][i] = float64(i % 64) // one zigzag varint byte each
 	}
-	rd := writeMem(t, flatDefs(), 100, n, cols)
-	ba, err := rd.ColumnBytes([]string{"a"}, 0, int64(n))
-	if err != nil {
-		t.Fatal(err)
+	rd := writeMem(t, defs, 100, n, cols)
+	colBytes := func(lo, hi int64, names ...string) int64 {
+		t.Helper()
+		b, err := rd.ColumnBytes(names, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	bb, err := rd.ColumnBytes([]string{"b"}, 0, int64(n))
-	if err != nil {
-		t.Fatal(err)
+	N := int64(n)
+	for name, width := range map[string]int64{"a": 8, "b": 4, "c": 1} {
+		if got := colBytes(0, N, name); got != width*N {
+			t.Fatalf("%s: %d stored bytes, want %d", name, got, width*N)
+		}
 	}
-	if ba <= bb {
-		t.Fatalf("constant column should compress better: a=%d b=%d", ba, bb)
+	if got := colBytes(0, N, "a", "b", "c"); got != 13*N {
+		t.Fatalf("column bytes not additive: %d vs %d", got, 13*N)
 	}
-	both, err := rd.ColumnBytes([]string{"a", "b"}, 0, int64(n))
-	if err != nil {
-		t.Fatal(err)
+	if got := colBytes(0, N/2, "a"); got != 8*N/2 {
+		t.Fatalf("half range touches %d bytes, want %d", got, 8*N/2)
 	}
-	if both != ba+bb {
-		t.Fatalf("column bytes not additive: %d vs %d", both, ba+bb)
+	// [150,250) touches baskets [100,200) and [200,300) whole.
+	if got := colBytes(150, 250, "b"); got != 4*200 {
+		t.Fatalf("misaligned range touches %d bytes, want %d", got, 4*200)
 	}
-	half, err := rd.ColumnBytes([]string{"a"}, 0, int64(n/2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if half >= ba {
-		t.Fatalf("partial range should touch fewer bytes: %d vs %d", half, ba)
+	if got := colBytes(7, 7, "a"); got != 0 {
+		t.Fatalf("empty range touches %d bytes", got)
 	}
 }
 
@@ -493,25 +494,11 @@ func TestWriteDatasetValidation(t *testing.T) {
 	}
 }
 
-func TestSortedBranchNames(t *testing.T) {
-	names := SortedBranchNames([]BranchDef{{Name: "b"}, {Name: "a"}})
-	if names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 func TestBranchIntrospection(t *testing.T) {
 	cols := map[string][]float64{"a": {1}, "b": {2}}
 	rd := writeMem(t, flatDefs(), 10, 1, cols)
-	if !rd.HasBranch("a") || rd.HasBranch("zz") {
-		t.Fatal("HasBranch wrong")
-	}
-	def, err := rd.BranchDef("a")
-	if err != nil || def.Kind != KindFlat {
-		t.Fatalf("BranchDef: %v %v", def, err)
-	}
-	if len(rd.Branches()) != 2 {
-		t.Fatalf("Branches = %v", rd.Branches())
+	if defs := rd.Branches(); len(defs) != 2 || defs[0] != flatDefs()[0] || defs[1] != flatDefs()[1] {
+		t.Fatalf("Branches = %v", defs)
 	}
 	if rd.BasketSize() != 10 {
 		t.Fatalf("BasketSize = %d", rd.BasketSize())

@@ -1,16 +1,14 @@
 package rootio
 
 import (
-	"bytes"
-	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // Writer streams events into a VRT1 file. Events are buffered in memory and
-// flushed to per-branch compressed baskets every BasketSize events.
+// flushed to per-branch baskets every BasketSize events.
 type Writer struct {
 	w          io.Writer
 	offset     int64
@@ -70,18 +68,11 @@ func NewWriter(w io.Writer, defs []BranchDef, basketSize int) (*Writer, error) {
 	for i, d := range defs {
 		wr.meta[i].Def = d
 	}
-	n, err := w.Write(headerMagic[:])
+	n, err := w.Write(binary.LittleEndian.AppendUint32(headerMagic[:], FormatVersion))
 	if err != nil {
 		return nil, err
 	}
 	wr.offset = int64(n)
-	var verBuf bytes.Buffer
-	putU32(&verBuf, FormatVersion)
-	n, err = w.Write(verBuf.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	wr.offset += int64(n)
 	return wr, nil
 }
 
@@ -216,7 +207,7 @@ func (wr *Writer) flushPartial(nEv int64) error {
 	for i := range wr.defs {
 		take := takes[i]
 		vals := wr.buf[i][:take]
-		if err := wr.writeBasket(i, vals, nEv); err != nil {
+		if err := wr.writeBasket(i, vals); err != nil {
 			return err
 		}
 		wr.buf[i] = append(wr.buf[i][:0:0], wr.buf[i][take:]...)
@@ -225,36 +216,20 @@ func (wr *Writer) flushPartial(nEv int64) error {
 	return nil
 }
 
-func (wr *Writer) writeBasket(branch int, vals []float64, nEvents int64) error {
-	raw, err := encodeColumn(wr.defs[branch].Enc, vals)
+// writeBasket stores vals as one basket of the branch: the encoded bytes,
+// exactly as a reader decodes them.
+func (wr *Writer) writeBasket(branch int, vals []float64) error {
+	data, err := encodeColumn(wr.defs[branch].Enc, vals)
 	if err != nil {
 		return fmt.Errorf("rootio: branch %q: %w", wr.defs[branch].Name, err)
 	}
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	n, err := wr.w.Write(data)
 	if err != nil {
 		return err
 	}
-
-	if _, err := fw.Write(raw); err != nil {
-		return err
-	}
-	if err := fw.Close(); err != nil {
-		return err
-	}
-	loc := basketLoc{
-		Offset:     wr.offset,
-		Compressed: int64(comp.Len()),
-		Raw:        int64(len(raw)),
-		NValues:    int64(len(vals)),
-	}
-	n, err := wr.w.Write(comp.Bytes())
-	if err != nil {
-		return err
-	}
+	loc := basketLoc{Offset: wr.offset, Len: int64(n), NValues: int64(len(vals))}
 	wr.offset += int64(n)
 	wr.meta[branch].Baskets = append(wr.meta[branch].Baskets, loc)
-	_ = nEvents
 	return nil
 }
 
@@ -275,18 +250,10 @@ func (wr *Writer) Close() error {
 		Branches:   wr.meta,
 	}
 	enc := ft.encode()
-	if _, err := wr.w.Write(enc); err != nil {
-		return err
-	}
-	var tail bytes.Buffer
-	putU32(&tail, uint32(len(enc)))
-	tail.Write(trailerMagic[:])
-	_, err := wr.w.Write(tail.Bytes())
+	enc = binary.LittleEndian.AppendUint32(enc, uint32(len(enc)))
+	_, err := wr.w.Write(append(enc, trailerMagic[:]...))
 	return err
 }
-
-// NEvents reports the number of events written so far.
-func (wr *Writer) NEvents() int64 { return wr.nEvents }
 
 // WriteFile writes a complete file at path from columns, convenience for the
 // generator and tests.
@@ -309,15 +276,4 @@ func WriteFile(path string, defs []BranchDef, basketSize, nEvents int, cols map[
 		return err
 	}
 	return f.Close()
-}
-
-// SortedBranchNames lists branch names of a definition set, sorted, for
-// stable error messages and tests.
-func SortedBranchNames(defs []BranchDef) []string {
-	names := make([]string, len(defs))
-	for i, d := range defs {
-		names[i] = d.Name
-	}
-	sort.Strings(names)
-	return names
 }
