@@ -33,6 +33,14 @@
 // WriteSnapshot(G, recs), which atomically writes snap-G and deletes the
 // covered segments. Replay(snapshot + tail) is equivalent to replay(full
 // log) because records are idempotent upserts keyed by task id / cachename.
+//
+// Compaction policy: CompactionDue reports a compaction worth its cost once
+// the bytes written since the last Cut reach max(SegmentBytes, size of the
+// newest snapshot) — Redis's AOF-rewrite rule of a minimum size plus
+// "grown by 100% since the last rewrite". Each snapshot is then paid for by
+// a tail at least as large, so the snapshot bytes a run writes stay within
+// about twice its appended bytes at any length, and replay reads at most
+// one snapshot, a tail no larger than that snapshot, and one segment.
 package journal
 
 import (
@@ -146,6 +154,7 @@ type Stats struct {
 	Syncs         int64 // write+fsync batches
 	Rotations     int64 // segment rotations
 	Snapshots     int64 // snapshots written
+	SnapshotBytes int64 // framed bytes written to snapshots
 	Replayed      int64 // records replayed (last Replay)
 	Skipped       int64 // corrupt frames skipped (last Replay)
 	TornTails     int64 // segments ending in a partial frame (last Replay)
@@ -163,9 +172,14 @@ type Journal struct {
 	pending  []byte // framed records awaiting flush
 	timerSet bool
 	lastSnap uint64 // generation of the newest snapshot
-	closed   bool
-	err      error // first write error, sticky
-	st       Stats
+	// sinceCut counts bytes written to segments since the last Cut (on
+	// Open: the tail left after the newest snapshot); snapBytes is the size
+	// of the newest snapshot. CompactionDue compares the two.
+	sinceCut  int64
+	snapBytes int64
+	closed    bool
+	err       error // first write error, sticky
+	st        Stats
 }
 
 // Open creates or reopens a journal directory. Existing segments are left
@@ -201,6 +215,14 @@ func Open(dir string, opts Options) (*Journal, error) {
 		}
 	}
 	j := &Journal{dir: dir, opts: opts, gen: maxGen, lastSnap: lastSnap}
+	if lastSnap > 0 {
+		j.snapBytes = fileSize(j.snapPath(lastSnap))
+	}
+	for _, g := range segs {
+		if g > lastSnap {
+			j.sinceCut += fileSize(j.segPath(g))
+		}
+	}
 	if err := j.openSegmentLocked(); err != nil {
 		return nil, err
 	}
@@ -223,6 +245,24 @@ func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.st
+}
+
+// CompactionDue reports whether the bytes written since the last Cut have
+// reached max(SegmentBytes, size of the newest snapshot), the point at
+// which a snapshot compaction costs no more than the tail it replaces.
+func (j *Journal) CompactionDue() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.sinceCut >= max(j.opts.SegmentBytes, j.snapBytes)
+}
+
+// fileSize reports a file's size, 0 if it cannot be read.
+func fileSize(path string) int64 {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
 }
 
 // segPath / snapPath name on-disk files; generations are zero-padded so
@@ -331,6 +371,7 @@ func (j *Journal) flushLocked() {
 		}
 	}
 	j.size += int64(len(buf))
+	j.sinceCut += int64(len(buf))
 	j.st.Syncs++
 	if j.size >= j.opts.SegmentBytes {
 		j.rotateLocked()
@@ -492,6 +533,7 @@ func (j *Journal) Cut() (uint64, error) {
 	if j.err != nil {
 		return 0, j.err
 	}
+	j.sinceCut = 0
 	if j.size == 0 {
 		return j.gen - 1, nil
 	}
@@ -545,7 +587,9 @@ func (j *Journal) WriteSnapshot(upTo uint64, recs []Record) error {
 	}
 	prevSnap := j.lastSnap
 	j.lastSnap = upTo
+	j.snapBytes = int64(len(buf))
 	j.st.Snapshots++
+	j.st.SnapshotBytes += int64(len(buf))
 	segs, snaps, err := scanDir(j.dir)
 	if err != nil {
 		return nil // snapshot landed; cleanup is best-effort

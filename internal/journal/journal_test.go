@@ -366,6 +366,77 @@ func TestStaleSnapshotIsNoop(t *testing.T) {
 	}
 }
 
+// CompactionDue fires once the bytes written since the last Cut reach
+// max(SegmentBytes, newest snapshot size): a Cut resets the count, a
+// snapshot larger than a segment raises the bar to its own size, and a
+// reopened journal counts the tail it inherited.
+func TestCompactionDue(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOptions()
+	opts.SegmentBytes = 4 << 10
+	j := mustOpen(t, dir, opts)
+	next := 0
+	// appendUntilDue appends synced defs until a compaction is due and
+	// returns the bytes written since the call.
+	appendUntilDue := func() int64 {
+		t.Helper()
+		before := j.Stats().AppendedBytes
+		for !j.CompactionDue() {
+			if _, err := j.Append(defRec(next)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+			if err := j.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return j.Stats().AppendedBytes - before
+	}
+	frame := int64(len(mustFrame(t, defRec(0))))
+	if n := appendUntilDue(); n < opts.SegmentBytes || n >= opts.SegmentBytes+2*frame {
+		t.Fatalf("first compaction due after %d bytes, want one segment (%d)", n, opts.SegmentBytes)
+	}
+	g, err := j.Cut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.CompactionDue() {
+		t.Fatal("compaction still due right after a cut")
+	}
+	// A snapshot three segments large: the next compaction waits for a tail
+	// of that size, not one segment.
+	var snap []Record
+	var snapBytes int64
+	for k := 0; snapBytes < 3*opts.SegmentBytes; k++ {
+		snap = append(snap, *defRec(k))
+		snapBytes += int64(len(mustFrame(t, defRec(k))))
+	}
+	if err := j.WriteSnapshot(g, snap); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.SnapshotBytes != snapBytes {
+		t.Fatalf("SnapshotBytes = %d, want %d", st.SnapshotBytes, snapBytes)
+	}
+	if n := appendUntilDue(); n < snapBytes || n >= snapBytes+2*frame {
+		t.Fatalf("compaction after a %d-byte snapshot due after %d bytes", snapBytes, n)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j2 := mustOpen(t, dir, opts); !j2.CompactionDue() {
+		t.Fatal("reopened journal forgot the tail written after its snapshot")
+	}
+}
+
+func mustFrame(t *testing.T, r *Record) []byte {
+	t.Helper()
+	b, err := encodeFrame(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestFrameCorruptionFuzz hammers replay with randomized single-byte
 // corruption. Deterministic by default; `make journal-fuzz` sets
 // JOURNAL_FUZZ_SEED=0 to draw a fresh seed per run (logged for replay).

@@ -122,7 +122,9 @@ func (m *Manager) leaseLocked(rec *taskRecord, w *workerState) {
 		rec.deadlineAt = time.Time{}
 	}
 	m.rec.Emit(obs.Event{Type: obs.EvTaskStart, Task: rec.label(), Worker: w.name, Attempt: rec.retries})
-	m.journalLocked(&journal.Record{Kind: journal.KindLease, TaskID: rec.id, Worker: w.name})
+	if m.jr != nil {
+		m.journalLocked(&journal.Record{Kind: journal.KindLease, TaskID: rec.id, Worker: w.name})
+	}
 	for _, tk := range tickets {
 		if tk.Addr == rootAddr {
 			// Root-store staging: the one flow that still touches the

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -51,7 +52,7 @@ func TestReadFrameCorruptBody(t *testing.T) {
 }
 
 // encodeFrame round-trips a real message through writeFrame.
-func encodeFrame(t *testing.T, m *message) []byte {
+func encodeFrame(t testing.TB, m *message) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, m); err != nil {
@@ -126,5 +127,89 @@ func TestReadFrameRandomCorruption(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// frameSeeds is one message of every control-frame type, each pointer field
+// filled the way the manager, workers and foremen fill it.
+func frameSeeds() []*message {
+	return []*message{
+		{Type: msgHello, Hello: &helloMsg{Name: "w0", Cores: 4, Memory: 1 << 30, TransferAddr: "127.0.0.1:9",
+			DiskLimit: 1 << 20, Preemptible: true, Foreman: true,
+			Inventory: []inventoryEntry{{CacheName: "blob:ab", Size: 3, Addr: "127.0.0.1:10"}}}},
+		{Type: msgDispatch, Dispatch: &dispatchMsg{TaskID: 7, Mode: string(ModeFunctionCall), Library: "lib", Func: "fn",
+			Args: []byte{0, 1, 0xff}, Inputs: []fileRefWire{{Name: "in", CacheName: "blob:ab"}},
+			Outputs: []fileRefWire{{Name: "out", CacheName: "task:cd:out"}}, Cores: 1, Memory: 64}},
+		{Type: msgTaskDone, TaskDone: &taskDoneMsg{TaskID: 7, OK: true, Error: "e",
+			OutputSizes: map[string]int64{"task:cd:out": 12}, ExecNanos: 1500, SetupNanos: 20}},
+		{Type: msgPutURL, PutURL: &putURLMsg{CacheName: "blob:ab", Addr: "127.0.0.1:9", Size: 3}},
+		{Type: msgTransferDone, TransferDone: &transferDoneMsg{CacheName: "blob:ab", OK: false, Error: "crc", Size: 3, Corrupt: true}},
+		{Type: msgLibrary, Library: &libraryMsg{Name: "lib", Hoist: true}},
+		{Type: msgUnlink, Unlink: &unlinkMsg{CacheName: "blob:ab"}},
+		{Type: msgEvicted, Evicted: &evictedMsg{CacheName: "blob:ab", Size: 3}},
+		{Type: msgInventoryAck, InventoryAck: &inventoryAckMsg{Known: []string{"blob:ab"}}},
+		{Type: msgKill},
+		{Type: msgTakeover, Takeover: &takeoverMsg{Holder: "standby", Epoch: 2}},
+		{Type: msgDraining, Draining: &drainingMsg{GraceNanos: 1e9}},
+		{Type: msgDrainDone},
+		{Type: msgPing},
+		{Type: msgPong},
+		{Type: msgLease, Lease: &leaseBatchMsg{Leases: []leaseEntryWire{{TaskID: 8, Mode: string(ModeTask), Library: "lib",
+			Func: "fn", Args: []byte("a"), Inputs: []fileRefWire{{Name: "in", CacheName: "blob:ab"}}, Cores: 1,
+			Tickets: []ticketWire{{CacheName: "blob:ab", Addr: "127.0.0.1:9", Size: 3}}}}}},
+		{Type: msgReport, Report: &foremanReportMsg{Backlog: 2, Done: []leaseDoneWire{{TaskID: 8, OK: true,
+			OutputSizes: map[string]int64{"task:ef:out": 4}, OutputAddrs: map[string]string{"task:ef:out": "127.0.0.1:11"},
+			InputAddrs: map[string]string{"blob:ab": "127.0.0.1:11"}, InputSizes: map[string]int64{"blob:ab": 3},
+			Lost: []lostReplicaWire{{CacheName: "blob:gh", Addr: "127.0.0.1:12", Corrupt: true}}, ExecNanos: 9}}}},
+	}
+}
+
+// FuzzReadFrame feeds readFrame arbitrary bytes. With fixCRC set, the
+// header's length and CRC are rewritten to match whatever body follows, so
+// mutated payloads get past the checksum to the JSON decoder. readFrame must
+// never panic, and a message it accepts must round-trip through writeFrame:
+// encoding it, reading that back and encoding again gives the same bytes.
+func FuzzReadFrame(f *testing.F) {
+	for _, m := range frameSeeds() {
+		frame := encodeFrame(f, m)
+		f.Add(frame, false)
+		f.Add(frame, true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
+		if fixCRC && len(data) >= 8 {
+			data = append([]byte(nil), data...)
+			binary.LittleEndian.PutUint32(data[:4], uint32(len(data)-8))
+			binary.LittleEndian.PutUint32(data[4:8], crc32.Checksum(data[8:], castagnoli))
+		}
+		m, err := readFrame(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		once := encodeFrame(t, m)
+		back, err := readFrame(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("re-encoded frame rejected: %v\n%s", err, once[8:])
+		}
+		if twice := encodeFrame(t, back); !bytes.Equal(once, twice) {
+			t.Fatalf("message does not round-trip:\n%s\n%s", once[8:], twice[8:])
+		}
+	})
+}
+
+// A header claiming a maxFrame body on a stream that ends after a few bytes
+// fails without allocating anything near the claimed length.
+func TestReadFrameForgedLengthAllocatesWhatArrives(t *testing.T) {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[:4], maxFrame)
+	stream := append(hdr[:], `{"type":`...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("forged length: got %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*frameChunk {
+		t.Fatalf("forged %d-byte length allocated %d bytes for a %d-byte stream", maxFrame, got, len(stream))
 	}
 }

@@ -298,27 +298,33 @@ func (m *Manager) snapshotRecordsLocked() []journal.Record {
 	return recs
 }
 
-// maybeCompactJournalLocked triggers an automatic snapshot compaction every
-// compactEvery journaled completions. The segment cut happens under m.mu
-// (so the snapshot's state capture is ordered against appends); the
-// snapshot file write runs in a goroutine off the lock.
+// maybeCompactJournalLocked starts a snapshot compaction when the journal
+// reports one due: the bytes written since the last cut have outgrown both
+// a segment and the newest snapshot (journal.CompactionDue), so the
+// snapshots a run writes stay within about twice its journaled bytes however
+// long it runs. At most one automatic compaction is in flight. The segment
+// cut happens under m.mu (so the snapshot's state capture is ordered against
+// appends); the snapshot file write runs in a goroutine off the lock, which
+// Stop waits for.
 func (m *Manager) maybeCompactJournalLocked() {
-	if m.jr == nil || m.compactEvery <= 0 {
-		return
-	}
-	m.journalDones++
-	if m.journalDones%m.compactEvery != 0 {
+	if m.jr == nil || m.stopped || m.compacting || !m.jr.CompactionDue() {
 		return
 	}
 	g, err := m.jr.Cut()
 	if err != nil {
 		return
 	}
+	m.compacting = true
+	m.compactions.Add(1)
 	recs := m.snapshotRecordsLocked()
 	go func() {
+		defer m.compactions.Done()
 		if m.jr.WriteSnapshot(g, recs) == nil {
 			m.met.journalSnapshots.Inc()
 		}
+		m.mu.Lock()
+		m.compacting = false
+		m.mu.Unlock()
 	}()
 }
 

@@ -521,12 +521,9 @@ type Manager struct {
 
 	// Durability (see journal.go). jr is the attached run journal (nil =
 	// durability off); replayed indexes journal-materialized completed
-	// tasks by definition hash for the warm Submit path; journalDones
-	// counts journaled completions toward the next auto-compaction.
-	jr           *journal.Journal
-	compactEvery int
-	replayed     map[string]*taskRecord
-	journalDones int
+	// tasks by definition hash for the warm Submit path.
+	jr       *journal.Journal
+	replayed map[string]*taskRecord
 
 	// Service hooks (see service.go). live indexes every task submitted in
 	// this incarnation by definition hash, so SubmitShared can dedupe a
@@ -568,6 +565,11 @@ type Manager struct {
 	// paused-then-resumed old primary cannot split-brain the cluster.
 	fenced      bool
 	takeoverLat time.Duration // lease expiry → first dispatch; 0 until observed
+	// compacting is true while an automatic journal snapshot is being
+	// written, so at most one is in flight; compactions tracks its
+	// goroutine so Stop can wait for it.
+	compacting  bool
+	compactions sync.WaitGroup
 }
 
 // notifyLocked wakes every goroutine blocked in WaitAny/WaitForWorkers by
@@ -619,7 +621,6 @@ func NewManager(options ...Option) (*Manager, error) {
 		queueMet:        make(map[string]*obs.Counter),
 		start:           time.Now(),
 		jr:              c.jr,
-		compactEvery:    c.journalCompactEvery,
 		replayed:        make(map[string]*taskRecord),
 		live:            make(map[string]*taskRecord),
 		lease:           c.lease,
@@ -635,11 +636,11 @@ func NewManager(options ...Option) (*Manager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("vine: journal replay: %w", err)
 		}
-		if m.preState != nil {
+		if m.rec != nil && m.preState != nil {
 			m.rec.Emit(obs.Event{Type: obs.EvManagerResume, Detail: fmt.Sprintf(
 				"%d records folded by standby tail, %d tasks warmable",
 				m.preState.Applied(), warmable)})
-		} else {
+		} else if m.rec != nil {
 			st := m.jr.Stats()
 			m.rec.Emit(obs.Event{Type: obs.EvManagerResume, Detail: fmt.Sprintf(
 				"%d records replayed, %d frames skipped, %d torn tails, %d tasks warmable",
@@ -663,8 +664,10 @@ func NewManager(options ...Option) (*Manager, error) {
 	m.ln = m.nc.listen(ln, "manager/control")
 	if m.takeoverEpoch > 0 {
 		m.met.failovers.Inc()
-		m.rec.Emit(obs.Event{Type: obs.EvManagerResume, Detail: fmt.Sprintf(
-			"takeover epoch %d listening on %s", m.takeoverEpoch, m.ln.Addr())})
+		if m.rec != nil {
+			m.rec.Emit(obs.Event{Type: obs.EvManagerResume, Detail: fmt.Sprintf(
+				"takeover epoch %d listening on %s", m.takeoverEpoch, m.ln.Addr())})
+		}
 	}
 	if m.lease != nil {
 		go m.watchLease()
@@ -700,6 +703,7 @@ func (m *Manager) Stop() {
 	close(m.stopC)
 	m.mu.Unlock()
 	if m.jr != nil {
+		m.compactions.Wait()
 		m.jr.Sync()
 	}
 	for _, w := range ws {
@@ -955,7 +959,9 @@ func (m *Manager) warmFromReplayLocked(defHash string, outputs []string) *TaskHa
 	} else {
 		detail = "outputs need lineage regeneration"
 	}
-	m.rec.Emit(obs.Event{Type: obs.EvWarmHit, Task: old.label(), Detail: defHash + ": " + detail})
+	if m.rec != nil {
+		m.rec.Emit(obs.Event{Type: obs.EvWarmHit, Task: old.label(), Detail: defHash + ": " + detail})
+	}
 	return old.handle
 }
 
@@ -997,8 +1003,12 @@ func (m *Manager) submitFreshLocked(t Task, defHash string) (*TaskHandle, error)
 		ID: rec.label(), Queue: t.Queue, Priority: t.Priority,
 		Cores: t.Cores, Memory: t.Memory, Inputs: inputs,
 	}
-	m.rec.Emit(obs.Event{Type: obs.EvTaskSubmit, Task: rec.label(), Detail: t.Library + "/" + t.Func})
-	m.journalLocked(taskDefRecord(rec))
+	if m.rec != nil {
+		m.rec.Emit(obs.Event{Type: obs.EvTaskSubmit, Task: rec.label(), Detail: t.Library + "/" + t.Func})
+	}
+	if m.jr != nil {
+		m.journalLocked(taskDefRecord(rec))
+	}
 	if m.inputsAvailableLocked(rec) {
 		m.enqueueReadyLocked(rec)
 	} else {
@@ -1086,7 +1096,9 @@ func (m *Manager) FetchBytes(name CacheName) ([]byte, error) {
 		if errors.Is(err, ErrCorruptTransfer) {
 			m.mu.Lock()
 			m.met.corruptTransfers.Inc()
-			m.rec.Emit(obs.Event{Type: obs.EvFileCorrupt, Src: srcName, Dst: "manager", Detail: string(name) + ": " + err.Error()})
+			if m.rec != nil {
+				m.rec.Emit(obs.Event{Type: obs.EvFileCorrupt, Src: srcName, Dst: "manager", Detail: string(name) + ": " + err.Error()})
+			}
 			m.quarantineReplicaLocked(name, src)
 			m.mu.Unlock()
 		}
@@ -1123,7 +1135,9 @@ func (m *Manager) Unlink(name CacheName) {
 		}
 	}
 	delete(m.files, name)
-	m.journalLocked(&journal.Record{Kind: journal.KindUnlink, CacheName: string(name)})
+	if m.jr != nil {
+		m.journalLocked(&journal.Record{Kind: journal.KindUnlink, CacheName: string(name)})
+	}
 	m.mu.Unlock()
 	for _, c := range conns {
 		c.send(&message{Type: msgUnlink, Unlink: &unlinkMsg{CacheName: string(name)}})
@@ -1252,14 +1266,16 @@ func (m *Manager) handleWorker(cc *conn) {
 	m.notifyLocked()
 	m.mu.Unlock()
 	m.met.workersJoined.Inc()
-	joinDetail := strconv.Itoa(w.cores) + " cores"
-	if len(hello.Inventory) > 0 {
-		joinDetail += fmt.Sprintf(", %d/%d cached files recognized", len(known), len(hello.Inventory))
+	if m.rec != nil {
+		joinDetail := strconv.Itoa(w.cores) + " cores"
+		if len(hello.Inventory) > 0 {
+			joinDetail += fmt.Sprintf(", %d/%d cached files recognized", len(known), len(hello.Inventory))
+		}
+		if w.foreman {
+			m.rec.Emit(obs.Event{Type: obs.EvForemanJoin, Worker: w.name, Detail: joinDetail})
+		}
+		m.rec.Emit(obs.Event{Type: obs.EvWorkerJoin, Worker: w.name, Detail: joinDetail})
 	}
-	if w.foreman {
-		m.rec.Emit(obs.Event{Type: obs.EvForemanJoin, Worker: w.name, Detail: joinDetail})
-	}
-	m.rec.Emit(obs.Event{Type: obs.EvWorkerJoin, Worker: w.name, Detail: joinDetail})
 	if len(hello.Inventory) > 0 {
 		cc.send(&message{Type: msgInventoryAck, InventoryAck: &inventoryAckMsg{Known: known}})
 	}
@@ -1653,7 +1669,9 @@ func (m *Manager) dispatchLocked(rec *taskRecord) {
 		rec.deadlineAt = time.Time{}
 	}
 	m.rec.Emit(obs.Event{Type: obs.EvTaskStart, Task: rec.label(), Worker: w.name, Attempt: rec.retries})
-	m.journalLocked(&journal.Record{Kind: journal.KindDispatch, TaskID: rec.id, Worker: w.name})
+	if m.jr != nil {
+		m.journalLocked(&journal.Record{Kind: journal.KindDispatch, TaskID: rec.id, Worker: w.name})
+	}
 	d := &dispatchMsg{
 		TaskID:  rec.id,
 		Mode:    string(rec.spec.Mode),
@@ -1796,7 +1814,9 @@ func (m *Manager) failLocked(rec *taskRecord, err error) {
 	m.setTaskState(rec, TaskFailed)
 	m.met.tasksFailed.Inc()
 	m.rec.Emit(obs.Event{Type: obs.EvTaskFail, Task: rec.label(), Detail: err.Error()})
-	m.journalLocked(&journal.Record{Kind: journal.KindTaskFail, TaskID: rec.id, Error: err.Error()})
+	if m.jr != nil {
+		m.journalLocked(&journal.Record{Kind: journal.KindTaskFail, TaskID: rec.id, Error: err.Error()})
+	}
 	rec.handle.mu.Lock()
 	rec.handle.err = err
 	notified := rec.handle.notified
@@ -1957,11 +1977,13 @@ func (m *Manager) onTaskDoneLocked(wid int, msg *taskDoneMsg) {
 		rec.handle.mu.Unlock()
 		close(rec.handle.doneC)
 		m.completed = append(m.completed, rec.id)
-		m.journalLocked(&journal.Record{
-			Kind: journal.KindTaskDone, TaskID: rec.id, Worker: workerNameOf(w),
-			OutputSizes: msg.OutputSizes, ExecNanos: msg.ExecNanos, SetupNanos: msg.SetupNanos,
-		})
-		m.maybeCompactJournalLocked()
+		if m.jr != nil {
+			m.journalLocked(&journal.Record{
+				Kind: journal.KindTaskDone, TaskID: rec.id, Worker: workerNameOf(w),
+				OutputSizes: msg.OutputSizes, ExecNanos: msg.ExecNanos, SetupNanos: msg.SetupNanos,
+			})
+			m.maybeCompactJournalLocked()
+		}
 	}
 	// Wake waiters even on a lineage re-run (wasDone): the fresh replica
 	// is what a parked FetchBytes recovery loop is waiting for.
@@ -2094,7 +2116,9 @@ func (m *Manager) onTransferDone(wid int, msg *transferDoneMsg) {
 			// A sole-replica copy escaped a draining worker intact: the
 			// file now survives the preemption without a lineage re-run.
 			m.met.soleOffloads.Inc()
-			m.rec.Emit(obs.Event{Type: obs.EvWorkerDrain, Worker: srcName, Detail: "offloaded " + string(name) + " to " + w.name})
+			if m.rec != nil {
+				m.rec.Emit(obs.Event{Type: obs.EvWorkerDrain, Worker: srcName, Detail: "offloaded " + string(name) + " to " + w.name})
+			}
 		}
 		// Unblock staging tasks on this worker waiting for the file.
 		if fs != nil {
@@ -2124,7 +2148,9 @@ func (m *Manager) onTransferDone(wid int, msg *transferDoneMsg) {
 		// through to lineage rollback if no source remains.
 		if msg.Corrupt {
 			m.met.corruptTransfers.Inc()
-			m.rec.Emit(obs.Event{Type: obs.EvFileCorrupt, Src: srcName, Dst: w.name, Detail: string(name) + ": " + msg.Error})
+			if m.rec != nil {
+				m.rec.Emit(obs.Event{Type: obs.EvFileCorrupt, Src: srcName, Dst: w.name, Detail: string(name) + ": " + msg.Error})
+			}
 			if extAddr != "" {
 				m.quarantineExternalLocked(name, extAddr)
 			} else {
@@ -2353,7 +2379,9 @@ func (m *Manager) offloadSoleReplicasLocked(w *workerState) {
 			}
 			continue
 		}
-		m.rec.Emit(obs.Event{Type: obs.EvWorkerDrain, Worker: w.name, Detail: "offload " + string(cn) + " to " + m.workers[dest].name})
+		if m.rec != nil {
+			m.rec.Emit(obs.Event{Type: obs.EvWorkerDrain, Worker: w.name, Detail: "offload " + string(cn) + " to " + m.workers[dest].name})
+		}
 		m.queuedTx = append(m.queuedTx, pendingTransfer{name: cn, dest: dest, source: w.id, offload: true})
 	}
 }

@@ -376,8 +376,8 @@ func readFrame(r io.Reader) (*message, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("vine: oversized frame (%d bytes)", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
+	data, err := readBody(r, int(n))
+	if err != nil {
 		return nil, err
 	}
 	want := binary.LittleEndian.Uint32(hdr[4:])
@@ -389,4 +389,31 @@ func readFrame(r io.Reader) (*message, error) {
 		return nil, fmt.Errorf("vine: decoding frame: %w", err)
 	}
 	return &m, nil
+}
+
+// frameChunk is the largest body readBody allocates before any of it has
+// arrived.
+const frameChunk = 64 << 10
+
+// readBody reads an n-byte frame body. The length is an untrusted header
+// field, so past frameChunk the buffer doubles only as bytes actually
+// arrive: a forged length on a short stream costs what the stream sent,
+// not maxFrame.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	data := make([]byte, min(n, frameChunk))
+	read := 0
+	for {
+		k, err := io.ReadFull(r, data[read:])
+		read += k
+		if err == io.EOF && read > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if read == n {
+			return data, nil
+		}
+		data = append(data, make([]byte, min(n-read, read))...)
+	}
 }

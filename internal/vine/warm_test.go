@@ -3,6 +3,7 @@ package vine
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -149,9 +150,9 @@ func TestWarmRestartLostOutputRegenerates(t *testing.T) {
 func TestWarmRestartCompactedJournal(t *testing.T) {
 	runDir := t.TempDir()
 	jr := openJournal(t, runDir)
-	m1, w1 := durableCluster(t, runDir, jr, WithJournalCompactEvery(2))
+	m1, w1 := durableCluster(t, runDir, jr)
 	args := []string{"a", "b", "c", "d", "e"}
-	for _, a := range args {
+	for i, a := range args {
 		h, err := m1.SubmitFunc(ModeTask, "testlib", "echo", []byte(a), "out")
 		if err != nil {
 			t.Fatal(err)
@@ -159,9 +160,16 @@ func TestWarmRestartCompactedJournal(t *testing.T) {
 		if err := h.Wait(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
+		// Compact after the second and fourth tasks: the restart replays a
+		// snapshot that replaced another, plus a one-task tail.
+		if i%2 == 1 {
+			if err := m1.CompactJournal(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := m1.CompactJournal(); err != nil {
-		t.Fatal(err)
+	if n := jr.Stats().Snapshots; n != 2 {
+		t.Fatalf("Snapshots = %d, want 2", n)
 	}
 	m1.Stop()
 	w1.Stop()
@@ -189,10 +197,10 @@ func TestWarmRestartCompactedJournal(t *testing.T) {
 	}
 }
 
-// A task still running when an automatic compaction fires must keep its
-// definition: compaction deletes the segment that held it, and the task's
-// completion lands in the tail. After a restart every resubmission,
-// including the one that was in flight, is warm and nothing executes.
+// A task still running when a compaction fires must keep its definition:
+// compaction deletes the segment that held it, and the task's completion
+// lands in the tail. After a restart every resubmission, including the one
+// that was in flight, is warm and nothing executes.
 func TestCompactionKeepsInFlightDefinition(t *testing.T) {
 	release := make(chan struct{})
 	MustRegisterLibrary(&Library{
@@ -207,7 +215,7 @@ func TestCompactionKeepsInFlightDefinition(t *testing.T) {
 	})
 	runDir := t.TempDir()
 	jr := openJournal(t, runDir)
-	m1, w1 := durableCluster(t, runDir, jr, WithJournalCompactEvery(2), WithLibrary("holdlib", true))
+	m1, w1 := durableCluster(t, runDir, jr, WithLibrary("holdlib", true))
 	held, err := m1.SubmitFunc(ModeTask, "holdlib", "hold", nil, "out")
 	if err != nil {
 		t.Fatal(err)
@@ -222,14 +230,12 @@ func TestCompactionKeepsInFlightDefinition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The second completion triggered a compaction whose snapshot is
-	// written off the manager lock; wait for it before letting held finish.
-	deadline := time.Now().Add(5 * time.Second)
-	for jr.Stats().Snapshots == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no automatic compaction after 2 completions")
-		}
-		time.Sleep(time.Millisecond)
+	// Compact while held is still blocked in its function body.
+	if err := m1.CompactJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if held.State() == TaskDone {
+		t.Fatal("held task finished before the compaction")
 	}
 	close(release)
 	if err := held.Wait(5 * time.Second); err != nil {
@@ -262,6 +268,105 @@ func TestCompactionKeepsInFlightDefinition(t *testing.T) {
 	}
 	if st := m2.Stats(); st.TasksDone != 0 {
 		t.Fatalf("restart re-executed %d tasks, want 0", st.TasksDone)
+	}
+}
+
+// Automatic compaction is amortized. With a 32 KiB segment, 8k no-op tasks
+// write snapshots totalling at most twice the journaled bytes plus one
+// segment, each doubling of N adds at most two snapshots, and the snapshot
+// plus tail left on disk still folds to every task the run completed. A
+// snapshot every 512 completions would have written 16 snapshots here,
+// each holding every task completed so far.
+func TestJournalCompactionAmortized(t *testing.T) {
+	registerTestLib(t)
+	const (
+		n      = 8192
+		window = 64
+		seg    = 32 << 10
+	)
+	jr, err := journal.Open(t.TempDir(), journal.Options{SegmentBytes: seg, NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.Close()
+	m, err := NewManager(WithLibrary("testlib", true), WithJournal(jr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	w, err := NewWorker(m.Addr(), WithCores(4), WithCacheDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+	if err := m.WaitForWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	ids := make([]int, 0, n)
+	var snaps []int64 // Snapshots after 1k, 2k, 4k and 8k tasks
+	for len(ids) < n {
+		hs := make([]*TaskHandle, window)
+		for i := range hs {
+			h, err := m.SubmitFunc(ModeFunctionCall, "testlib", "echo", []byte(strconv.Itoa(len(ids)+i)), "out")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs[i] = h
+		}
+		for _, h := range hs {
+			if err := h.Wait(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, h.ID)
+		}
+		if k := len(ids); k >= 1024 && k&(k-1) == 0 {
+			// The lock round trip orders this after every completion handler
+			// that may have started a compaction; then wait for it to land.
+			m.mu.Lock()
+			m.mu.Unlock()
+			m.compactions.Wait()
+			snaps = append(snaps, jr.Stats().Snapshots)
+		}
+	}
+
+	st := jr.Stats()
+	t.Logf("%d tasks: %d B appended, %d snapshots, %d B of snapshots, per doubling from 1k: %v",
+		n, st.AppendedBytes, st.Snapshots, st.SnapshotBytes, snaps)
+	if st.SnapshotBytes > 2*st.AppendedBytes+seg {
+		t.Fatalf("snapshots wrote %d B for %d B appended, want at most 2x + one segment",
+			st.SnapshotBytes, st.AppendedBytes)
+	}
+	if snaps[0] == 0 {
+		t.Fatal("no automatic compaction in the first 1k tasks")
+	}
+	for i := 1; i < len(snaps); i++ {
+		if d := snaps[i] - snaps[i-1]; d > 2 {
+			t.Fatalf("doubling N added %d snapshots (%v), want at most 2", d, snaps)
+		}
+	}
+
+	// Replay what compaction left on disk: every task's definition and
+	// completion, with its output's size — the fold of the full log.
+	m.Stop()
+	rs := NewReplayState()
+	if _, err := jr.Replay(rs.Apply); err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.defs) != n || len(rs.dones) != n {
+		t.Fatalf("snapshot + tail folds to %d defs and %d dones, want %d of each",
+			len(rs.defs), len(rs.dones), n)
+	}
+	for _, id := range ids {
+		rec := m.tasks[id]
+		def, done := rs.defs[id], rs.dones[id]
+		out := rec.handle.outputs["out"]
+		if def.DefHash != rec.defHash || def.Outputs["out"] != string(out) {
+			t.Fatalf("task %d: replayed def %+v, live hash %s output %s", id, def, rec.defHash, out)
+		}
+		if done.OutputSizes[string(out)] != m.reps.Size(string(out)) {
+			t.Fatalf("task %d: replayed output size %d, live %d", id, done.OutputSizes[string(out)], m.reps.Size(string(out)))
+		}
 	}
 }
 
