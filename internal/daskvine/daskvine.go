@@ -14,8 +14,10 @@ package daskvine
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hepvine/internal/coffea"
@@ -136,19 +138,20 @@ func Run(m *vine.Manager, g *dag.Graph, root dag.Key, opts Options) (*coffea.His
 		return nil, fmt.Errorf("daskvine: root %q not in graph", root)
 	}
 
-	// Declare every dataset file once; identical paths share a cachename.
-	fileCN := make(map[string]vine.CacheName)
+	// Declare every dataset file once, hashing them in parallel in
+	// first-use order; identical paths share a cachename. The submit loop
+	// waits only for the file it is about to use, so hashing overlaps
+	// dispatch and transfer of the files declared before it.
+	var paths []string
+	seen := make(map[string]bool)
 	for _, k := range g.Topo() {
-		if ps, ok := g.Task(k).Spec.(*coffea.ProcessSpec); ok {
-			if _, done := fileCN[ps.Chunk.Path]; !done {
-				cn, err := m.DeclareFile(ps.Chunk.Path)
-				if err != nil {
-					return nil, fmt.Errorf("daskvine: declaring %s: %w", ps.Chunk.Path, err)
-				}
-				fileCN[ps.Chunk.Path] = cn
-			}
+		if ps, ok := g.Task(k).Spec.(*coffea.ProcessSpec); ok && !seen[ps.Chunk.Path] {
+			seen[ps.Chunk.Path] = true
+			paths = append(paths, ps.Chunk.Path)
 		}
 	}
+	decls := declareFiles(m, paths)
+	defer decls.close()
 
 	// Submit in topological order so every input cachename is known.
 	handles := make(map[dag.Key]*vine.TaskHandle, g.Len())
@@ -166,6 +169,10 @@ func Run(m *vine.Manager, g *dag.Graph, root dag.Key, opts Options) (*coffea.His
 		var vt vine.Task
 		switch spec := task.Spec.(type) {
 		case *coffea.ProcessSpec:
+			cn, err := decls.get(spec.Chunk.Path)
+			if err != nil {
+				return nil, fmt.Errorf("daskvine: declaring %s: %w", spec.Chunk.Path, err)
+			}
 			args, err := json.Marshal(procArgs{
 				Processor: spec.Processor,
 				Dataset:   spec.Chunk.Dataset,
@@ -178,7 +185,7 @@ func Run(m *vine.Manager, g *dag.Graph, root dag.Key, opts Options) (*coffea.His
 			vt = vine.Task{
 				Mode: opts.Mode, Library: LibraryName, Func: "process",
 				Args:    args,
-				Inputs:  []vine.FileRef{{Name: "data", CacheName: fileCN[spec.Chunk.Path]}},
+				Inputs:  []vine.FileRef{{Name: "data", CacheName: cn}},
 				Outputs: []string{"hist"},
 			}
 		case *coffea.AccumSpec:
@@ -256,4 +263,57 @@ func Run(m *vine.Manager, g *dag.Graph, root dag.Key, opts Options) (*coffea.His
 		return nil, fmt.Errorf("daskvine: fetching result: %w", err)
 	}
 	return coffea.UnmarshalHistSet(blob)
+}
+
+// declared is the future of one dataset file's declaration.
+type declared struct {
+	done chan struct{}
+	cn   vine.CacheName
+	err  error
+}
+
+// declarer hashes and declares dataset files on min(GOMAXPROCS, files)
+// goroutines, taking them in the order given.
+type declarer struct {
+	files map[string]*declared
+	stop  atomic.Bool
+	wg    sync.WaitGroup
+}
+
+func declareFiles(m *vine.Manager, paths []string) *declarer {
+	d := &declarer{files: make(map[string]*declared, len(paths))}
+	for _, p := range paths {
+		d.files[p] = &declared{done: make(chan struct{})}
+	}
+	var next atomic.Int64
+	n := min(runtime.GOMAXPROCS(0), len(paths))
+	d.wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer d.wg.Done()
+			for !d.stop.Load() {
+				k := int(next.Add(1)) - 1
+				if k >= len(paths) {
+					return
+				}
+				f := d.files[paths[k]]
+				f.cn, f.err = m.DeclareFile(paths[k])
+				close(f.done)
+			}
+		}()
+	}
+	return d
+}
+
+// get waits for path's declaration.
+func (d *declarer) get(path string) (vine.CacheName, error) {
+	f := d.files[path]
+	<-f.done
+	return f.cn, f.err
+}
+
+// close stops the hashers taking more files and waits for them to exit.
+func (d *declarer) close() {
+	d.stop.Store(true)
+	d.wg.Wait()
 }

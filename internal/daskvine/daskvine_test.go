@@ -1,9 +1,14 @@
 package daskvine
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -307,6 +312,56 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("unfinalized graph accepted")
 	}
 	_ = root
+}
+
+// hashers counts goroutines still inside Manager.DeclareFile. A hasher
+// that has signalled its WaitGroup may not have exited yet, but it is past
+// its last DeclareFile call.
+func hashers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "vine.(*Manager).DeclareFile(")
+}
+
+// TestRunMissingFileStopsHashers: when dataset file k is missing, Run
+// returns that file's DeclareFile error, and every hashing goroutine has
+// exited by the time it does, even those still hashing the large files
+// after k.
+func TestRunMissingFileStopsHashers(t *testing.T) {
+	chunks := setup(t)
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.root")
+	big := make([]byte, 8<<20)
+	var mixed []coffea.Chunk
+	for i := 0; i < 6; i++ {
+		c := chunks[i]
+		switch {
+		case i == 1:
+			c.Path = missing
+		case i > 1:
+			c.Path = filepath.Join(dir, fmt.Sprintf("big%d.root", i))
+			big[0] = byte(i)
+			if err := os.WriteFile(c.Path, big, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mixed = append(mixed, c)
+	}
+	g, root, err := coffea.BuildGraph("dv-test", mixed, coffea.GraphOptions{FanIn: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cluster(t, 0, 1)
+	if n := hashers(); n != 0 {
+		t.Fatalf("%d hashers alive before Run", n)
+	}
+	_, err = Run(m, g, root, Options{Timeout: 10 * time.Second})
+	if n := hashers(); n != 0 {
+		t.Fatalf("%d hashers outlived Run", n)
+	}
+	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("Run error = %v, want the DeclareFile error for %s", err, missing)
+	}
 }
 
 // TestRunWarmResubmission proves idempotent graph resubmission end to

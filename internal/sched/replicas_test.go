@@ -49,8 +49,9 @@ func TestReplicasDropHolder(t *testing.T) {
 }
 
 // TestReplicasModel applies seeded random sequences of add, remove,
-// drop-holder, forget and resize, and checks the table after every step
-// against a naive set of (file, holder) pairs.
+// drop-holder, forget, resize and in-flight add and remove, and checks the
+// table after every step against naive sets of (file, holder) pairs: one
+// landed, one in flight.
 func TestReplicasModel(t *testing.T) {
 	type pair struct {
 		file   string
@@ -62,24 +63,31 @@ func TestReplicasModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := NewReplicas()
 		model := map[pair]bool{}
+		inflight := map[pair]bool{}
 		sizes := map[string]int64{}
 		for step := 0; step < 300; step++ {
 			f := files[rng.Intn(len(files))]
 			h := rng.Intn(holders)
-			before := r.Holders(f)
-			saved := fmt.Sprint(before)
-			switch op := rng.Intn(10); {
+			before, receivers := r.Holders(f), r.Receivers(f)
+			saved := fmt.Sprint(before, receivers)
+			switch op := rng.Intn(13); {
 			case op < 4:
 				if got, want := r.Add(f, h), !model[pair{f, h}]; got != want {
 					t.Fatalf("seed %d step %d: Add(%s, %d) = %v, want %v", seed, step, f, h, got, want)
 				}
 				model[pair{f, h}] = true
+				delete(inflight, pair{f, h}) // the transfer landed
 			case op < 6:
 				if got, want := r.Remove(f, h), model[pair{f, h}]; got != want {
 					t.Fatalf("seed %d step %d: Remove(%s, %d) = %v, want %v", seed, step, f, h, got, want)
 				}
 				delete(model, pair{f, h})
 			case op < 7:
+				for p := range inflight {
+					if p.holder == h {
+						delete(inflight, p)
+					}
+				}
 				var want []string
 				for _, g := range files {
 					if !model[pair{g, h}] {
@@ -102,29 +110,47 @@ func TestReplicasModel(t *testing.T) {
 				}
 			case op < 8:
 				r.Forget(f)
-				for p := range model {
-					if p.file == f {
-						delete(model, p)
+				for _, m := range []map[pair]bool{model, inflight} {
+					for p := range m {
+						if p.file == f {
+							delete(m, p)
+						}
 					}
 				}
 				delete(sizes, f)
-			default:
+			case op < 10:
 				s := int64(rng.Intn(1000))
 				r.SetSize(f, s)
 				sizes[f] = s
+			case op < 12:
+				if got, want := r.AddInflight(f, h), !inflight[pair{f, h}]; got != want {
+					t.Fatalf("seed %d step %d: AddInflight(%s, %d) = %v, want %v", seed, step, f, h, got, want)
+				}
+				inflight[pair{f, h}] = true
+			default:
+				if got, want := r.RemoveInflight(f, h), inflight[pair{f, h}]; got != want {
+					t.Fatalf("seed %d step %d: RemoveInflight(%s, %d) = %v, want %v", seed, step, f, h, got, want)
+				}
+				delete(inflight, pair{f, h})
 			}
-			if fmt.Sprint(before) != saved {
-				t.Fatalf("seed %d step %d: a returned Holders slice changed from %s to %v", seed, step, saved, before)
+			if fmt.Sprint(before, receivers) != saved {
+				t.Fatalf("seed %d step %d: a returned Holders or Receivers slice changed from %s to %v %v", seed, step, saved, before, receivers)
 			}
 			for _, g := range files {
-				var want []int
+				var want, wantIn []int
 				for id := 0; id < holders; id++ {
 					if model[pair{g, id}] {
 						want = append(want, id)
 					}
+					if inflight[pair{g, id}] {
+						wantIn = append(wantIn, id)
+					}
 				}
 				if got := r.Holders(g); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("seed %d step %d: Holders(%s) = %v, want %v", seed, step, g, got, want)
+				}
+				if got := r.Receivers(g); fmt.Sprint(got) != fmt.Sprint(wantIn) {
+					t.Fatalf("seed %d step %d: Receivers(%s) = %v, want %v", seed, step, g, got, wantIn)
 				}
 				if r.Size(g) != sizes[g] {
 					t.Fatalf("seed %d step %d: Size(%s) = %d, want %d", seed, step, g, r.Size(g), sizes[g])
@@ -132,7 +158,7 @@ func TestReplicasModel(t *testing.T) {
 			}
 			for id := 0; id < holders; id++ {
 				var want []string
-				var bytes int64
+				var bytes, local int64
 				for _, g := range files {
 					if r.Holds(g, id) != model[pair{g, id}] {
 						t.Fatalf("seed %d step %d: Holds(%s, %d) disagrees with the model", seed, step, g, id)
@@ -141,13 +167,16 @@ func TestReplicasModel(t *testing.T) {
 						want = append(want, g)
 						bytes += sizes[g]
 					}
+					if model[pair{g, id}] || inflight[pair{g, id}] {
+						local += sizes[g]
+					}
 				}
 				if got := r.Files(id); fmt.Sprint(got) != fmt.Sprint(want) || r.Count(id) != len(want) {
 					t.Fatalf("seed %d step %d: Files(%d) = %v (count %d), want %v", seed, step, id, got, r.Count(id), want)
 				}
-				if r.Bytes(id) != bytes || r.LocalBytes(id, files) != bytes {
-					t.Fatalf("seed %d step %d: holder %d bytes = %d, local = %d, want %d",
-						seed, step, id, r.Bytes(id), r.LocalBytes(id, files), bytes)
+				if r.Bytes(id) != bytes || r.LocalBytes(id, files) != local {
+					t.Fatalf("seed %d step %d: holder %d bytes = %d, local = %d, want %d and %d",
+						seed, step, id, r.Bytes(id), r.LocalBytes(id, files), bytes, local)
 				}
 			}
 		}

@@ -434,6 +434,166 @@ func TestAssignSteadyStateAllocs(t *testing.T) {
 	if local == 0 {
 		t.Fatal("no placement scored any local bytes; the locality path did not run")
 	}
+
+	// The lookahead path: worker 1 holds "a" and stays busy, so every head
+	// needing "a" scans the window on worker 0 before it is kept.
+	s = busyPair()
+	for i := range tasks {
+		in := "a"
+		if i%2 == 1 {
+			in = fmt.Sprintf("b%d", i)
+		}
+		tasks[i] = task(fmt.Sprintf("t%d", i), 1, in)
+	}
+	scans := 0
+	run = func() {
+		for _, tk := range tasks {
+			s.Enqueue(tk, int64(i))
+		}
+		s.Assign(int64(i), func(a Assignment) {
+			if a.Task.Inputs[0] != "a" {
+				scans++
+			}
+			s.Release(a.Worker, a.Task.Cores, a.Task.Memory)
+		})
+		i++
+	}
+	run()
+	if avg := testing.AllocsPerRun(10, run); avg > 5 {
+		t.Fatalf("steady-state Assign with lookahead allocates %.1f per round, want ~0", avg)
+	}
+	if scans == 0 {
+		t.Fatal("no fresh task was taken past a head; the lookahead did not run")
+	}
+}
+
+// ---- lookahead ----
+
+// TestAssignKeepsEachFileOnOneWorker is the DV3 shape: 2 one-core workers,
+// 10 files × 4 chunk tasks enqueued in file order, completions simulated
+// one at a time in dispatch order. A placement that needs a file the worker
+// lacks starts a transfer, which is in flight until the task completes.
+// Each file's chunks run on one worker, apart from at most one tail task
+// per worker stolen when the queue holds nothing else. Pure FIFO (no
+// lookahead, no in-flight replicas) alternates the workers and splits all
+// ten files 2/2 across them: f0c0→0 f0c1→1 f0c2→0 f0c3→1 f1c0→0 ...
+func TestAssignKeepsEachFileOnOneWorker(t *testing.T) {
+	s := New(nil)
+	s.WorkerJoin(0, 1, 0)
+	s.WorkerJoin(1, 1, 0)
+	r := s.Replicas()
+	for f := 0; f < 10; f++ {
+		name := fmt.Sprintf("file%d", f)
+		r.SetSize(name, 2<<20)
+		for c := 0; c < 4; c++ {
+			s.Enqueue(task(fmt.Sprintf("f%dc%d", f, c), 1, name), 0)
+		}
+	}
+	ran := map[string][2]int{} // file -> chunks run per worker
+	var running []Assignment
+	place := func(a Assignment) {
+		f := a.Task.Inputs[0]
+		if !r.Holds(f, a.Worker) {
+			r.AddInflight(f, a.Worker)
+		}
+		n := ran[f]
+		n[a.Worker]++
+		ran[f] = n
+		running = append(running, a)
+	}
+	s.Assign(0, place)
+	for now := int64(1); len(running) > 0; now++ {
+		a := running[0]
+		running = running[1:]
+		r.Add(a.Task.Inputs[0], a.Worker)
+		s.Release(a.Worker, 1, 0)
+		s.Assign(now, place)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d tasks never placed", s.Pending())
+	}
+	var stolen [2]int
+	for f, n := range ran {
+		if n[0]+n[1] != 4 {
+			t.Fatalf("%s ran %v chunks, want 4", f, n)
+		}
+		switch {
+		case n[0] == 0 || n[1] == 0:
+		case n[0] == 1:
+			stolen[0]++
+		case n[1] == 1:
+			stolen[1]++
+		default:
+			t.Errorf("%s split %d/%d across the workers", f, n[0], n[1])
+		}
+	}
+	if stolen[0] > 1 || stolen[1] > 1 {
+		t.Errorf("stolen tail tasks per worker = %v, want at most 1 each (%v)", stolen, ran)
+	}
+}
+
+// busyPair is two one-core workers where worker 1 holds "a" and is busy,
+// so a head needing "a" is given worker 0 with nothing local.
+func busyPair(qs ...QueueConfig) *Scheduler {
+	s := New(nil, qs...)
+	s.WorkerJoin(0, 1, 0)
+	s.WorkerJoin(1, 1, 0)
+	s.Replicas().SetSize("a", 1<<20)
+	s.Replicas().Add("a", 1)
+	s.Reserve(1, 1, 0)
+	return s
+}
+
+func assignOnce(s *Scheduler, now int64) []string {
+	var got []string
+	s.Assign(now, func(a Assignment) { got = append(got, fmt.Sprintf("%s@%d", a.Task.ID, a.Worker)) })
+	return got
+}
+
+func TestLookaheadStaysInPriorityAndQueue(t *testing.T) {
+	// A lower-priority fresh task behind the head is never taken instead.
+	s := busyPair()
+	s.Enqueue(&Task{ID: "hi", Cores: 1, Priority: 5, Inputs: []string{"a"}}, 0)
+	s.Enqueue(&Task{ID: "lo", Cores: 1, Inputs: []string{"b"}}, 0)
+	if got := assignOnce(s, 1); fmt.Sprint(got) != "[hi@0]" {
+		t.Fatalf("placed %v, want the higher-priority head kept: [hi@0]", got)
+	}
+	// Nor is a fresh task in another queue.
+	s = busyPair(QueueConfig{Name: "x"}, QueueConfig{Name: "y"})
+	s.Enqueue(&Task{ID: "x1", Queue: "x", Cores: 1, Inputs: []string{"a"}}, 0)
+	s.Enqueue(&Task{ID: "y1", Queue: "y", Cores: 1, Inputs: []string{"b"}}, 0)
+	if got := assignOnce(s, 1); fmt.Sprint(got) != "[x1@0]" {
+		t.Fatalf("placed %v, want the head of the queue owed service kept: [x1@0]", got)
+	}
+	// At equal priority in the same queue, the fresh task goes first.
+	s = busyPair()
+	s.Enqueue(&Task{ID: "h", Cores: 1, Priority: 5, Inputs: []string{"a"}}, 0)
+	s.Enqueue(&Task{ID: "u", Cores: 1, Priority: 5, Inputs: []string{"b"}}, 0)
+	if got := assignOnce(s, 1); fmt.Sprint(got) != "[u@0]" {
+		t.Fatalf("placed %v, want [u@0]", got)
+	}
+}
+
+func TestPassedOverHeadPlacedWhenHolderFrees(t *testing.T) {
+	s := busyPair()
+	s.Enqueue(task("h", 1, "a"), 10)
+	s.Enqueue(task("u1", 1, "b"), 20)
+	s.Enqueue(task("u2", 1, "c"), 30)
+	if got := assignOnce(s, 100); fmt.Sprint(got) != "[u1@0]" {
+		t.Fatalf("placed %v, want [u1@0]", got)
+	}
+	s.Release(1, 1, 0)
+	var wait int64
+	var got []string
+	s.Assign(200, func(a Assignment) {
+		got = append(got, fmt.Sprintf("%s@%d", a.Task.ID, a.Worker))
+		if a.Task.ID == "h" {
+			wait = a.Wait
+		}
+	})
+	if fmt.Sprint(got) != "[h@1]" || wait != 190 {
+		t.Fatalf("placed %v with wait %d, want [h@1] with its original wait 190", got, wait)
+	}
 }
 
 func BenchmarkAssign(b *testing.B) {

@@ -5,6 +5,12 @@ import "sort"
 // DefaultQueue is where tasks land when they name no queue.
 const DefaultQueue = "default"
 
+// lookaheadWindow bounds how many tasks behind its queue's head Assign
+// scans when the head's inputs live on another worker than the one it was
+// given: delay scheduling (Zaharia et al., EuroSys 2010) over a fixed
+// window instead of a timer.
+const lookaheadWindow = 32
+
 // Assignment is one placement decision handed to the caller's place
 // callback. The caller owns the actual dispatch; the Scheduler has
 // already reserved the cores/memory in its own index.
@@ -40,8 +46,10 @@ type Scheduler struct {
 	queued map[string]*Task
 	nseq   uint64
 
-	cands   []Candidate // scratch, reused across Assign calls
-	blocked []*Task     // scratch: popped but unplaceable this round
+	cands   []Candidate  // scratch, reused across Assign calls
+	one     [1]Candidate // scratch: the given worker, scored for a lookahead task
+	blocked []*Task      // scratch: popped but unplaceable this round
+	ahead   []*Task      // scratch: popped by one lookahead scan
 }
 
 // New builds a scheduler around a policy (nil means Locality) with the
@@ -303,9 +311,12 @@ func (s *Scheduler) hasLive(q *queue) bool {
 // anywhere, invoking place once per decision, and returns the number of
 // placements. Cores and memory are reserved in the index as decisions
 // are made, so one Assign round packs consistently without dispatches
-// having landed yet. The hot path allocates nothing in steady state: the
-// candidate buffer and blocked stash are reused, the worker id slice is
-// maintained incrementally, and score vectors live on the stack.
+// having landed yet. When the worker picked for a queue's head has none of
+// its inputs and another worker does, a short lookahead may place a task
+// behind the head there instead (see lookahead). The hot path allocates
+// nothing in steady state: the candidate buffer and the blocked and
+// lookahead stashes are reused, the worker id slice is maintained
+// incrementally, and score vectors live on the stack.
 func (s *Scheduler) Assign(now int64, place func(Assignment)) int {
 	placed := 0
 	maxFree := s.maxFreeCores()
@@ -339,6 +350,9 @@ func (s *Scheduler) Assign(now int64, place func(Assignment)) int {
 			continue
 		}
 		win := s.cands[idx].ID
+		if s.cands[idx].LocalBytes == 0 && s.homeElsewhere(t, win) {
+			t, score = s.lookahead(q, t, score, idx)
+		}
 		n := s.nodes[win]
 		n.freeCores -= t.Cores
 		n.freeMemory -= t.Memory
@@ -367,6 +381,76 @@ func (s *Scheduler) Assign(now int64, place func(Assignment)) int {
 	}
 	s.blocked = s.blocked[:0]
 	return placed
+}
+
+// homeElsewhere reports whether a worker other than win, one that may
+// still take t, holds or is receiving one of t's inputs.
+func (s *Scheduler) homeElsewhere(t *Task, win int) bool {
+	for _, f := range t.Inputs {
+		for _, ids := range [2][]int{s.reps.Holders(f), s.reps.Receivers(f)} {
+			for _, id := range ids {
+				if n := s.nodes[id]; id != win && n != nil && !n.draining && !t.Exclude[id] {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// nowhere reports whether no worker holds or is receiving any of t's
+// inputs, so placing t anywhere moves the same bytes.
+func (s *Scheduler) nowhere(t *Task) bool {
+	for _, f := range t.Inputs {
+		if len(s.reps.Holders(f)) > 0 || len(s.reps.Receivers(f)) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// lookahead picks what runs on cands[idx] instead of head, whose inputs
+// are at home elsewhere. It scans up to lookaheadWindow live tasks behind
+// head in the same queue at the same priority, and returns the first with
+// local bytes on that worker, else the first whose inputs are nowhere
+// yet, else head itself. Every task it passes over goes back on the heap
+// with its seq and EnqueuedAt, so FIFO order and reported wait survive,
+// and head stays first in line for the worker that holds its data.
+func (s *Scheduler) lookahead(q *queue, head *Task, headScore float64, idx int) (*Task, float64) {
+	pick, score := head, headScore
+	var fresh *Task
+	var freshScore float64
+	s.ahead = append(s.ahead[:0], head)
+	for len(s.ahead) <= lookaheadWindow && len(q.heap) > 0 && q.heap[0].Priority == head.Priority {
+		u := q.pop()
+		if s.queued[u.ID] != u {
+			continue // tombstone
+		}
+		s.ahead = append(s.ahead, u)
+		s.one[0] = s.cands[idx]
+		s.one[0].LocalBytes = s.reps.LocalBytes(s.one[0].ID, u.Inputs)
+		j, sc := s.policy.Pick(u, s.one[:])
+		if j < 0 {
+			continue
+		}
+		if s.one[0].LocalBytes > 0 {
+			pick, score, fresh = u, sc, nil
+			break
+		}
+		if fresh == nil && s.nowhere(u) {
+			fresh, freshScore = u, sc
+		}
+	}
+	if fresh != nil {
+		pick, score = fresh, freshScore
+	}
+	for _, u := range s.ahead {
+		if u != pick {
+			q.push(u)
+		}
+	}
+	s.ahead = s.ahead[:0]
+	return pick, score
 }
 
 func (s *Scheduler) maxFreeCores() int {

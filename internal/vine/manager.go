@@ -1492,19 +1492,12 @@ func (m *Manager) assignLocked(rec *taskRecord, a sched.Assignment) {
 // onTransferDone unblocks every refWaiter on the pair. Issuing a duplicate
 // put_url would race two concurrent fetches of one cachename on the
 // worker, and a task dispatched against the first completion could read
-// the file mid-rewrite by the second.
+// the file mid-rewrite by the second. The replica table's in-flight set is
+// the record of outstanding pairs: placement counts them as held, and the
+// entry lives until the transfer lands, fails for good, or dest is lost.
 func (m *Manager) queueTransferLocked(name CacheName, dest int) {
-	for _, tx := range m.queuedTx {
-		if tx.name == name && tx.dest == dest {
-			return
-		}
-	}
-	if w := m.workers[dest]; w != nil {
-		for _, sr := range w.pendingSources {
-			if sr.name == name {
-				return
-			}
-		}
+	if !m.reps.AddInflight(string(name), dest) {
+		return
 	}
 	src := m.pickSourceLocked(name, dest)
 	m.queuedTx = append(m.queuedTx, pendingTransfer{name: name, dest: dest, source: src})
@@ -1603,6 +1596,7 @@ func (m *Manager) pumpTransfersLocked() {
 				// parked: route them through the task-retry path, which
 				// revives the producer (lineage rollback) and restages
 				// once the file regenerates.
+				m.reps.RemoveInflight(string(tx.name), tx.dest)
 				for _, rec := range fs.refWaiters {
 					if rec.worker == tx.dest && rec.state == TaskStaging && rec.pending[tx.name] {
 						m.retryLocked(rec, fmt.Errorf("staging %s: no live replica", tx.name))
@@ -2072,6 +2066,7 @@ func (m *Manager) pullToManager(addr, worker string, cn CacheName) {
 	m.rec.Emit(obs.Event{Type: obs.EvTransferStart, Src: worker, Dst: "manager", Bytes: size, Detail: string(cn)})
 	m.promoteWaitersLocked()
 	m.scheduleLocked()
+	m.notifyLocked()
 }
 
 func workerNameOf(w *workerState) string {
@@ -2125,7 +2120,9 @@ func (m *Manager) onTransferDone(wid int, msg *transferDoneMsg) {
 			if msg.Size > 0 {
 				m.reps.SetSize(string(name), msg.Size)
 			}
-			m.reps.Add(string(name), wid)
+			if m.reps.Add(string(name), wid) {
+				m.notifyLocked()
+			}
 			var stillWaiting []*taskRecord
 			for _, rec := range fs.refWaiters {
 				if rec.worker == wid && rec.state == TaskStaging && rec.pending[name] {
@@ -2166,10 +2163,12 @@ func (m *Manager) onTransferDone(wid int, msg *transferDoneMsg) {
 			}
 		}
 		if len(victims) > 0 && attempts+1 < maxTransferAttempts && m.hasSourceLocked(name) {
+			// The in-flight entry stays: the retry is the same transfer.
 			m.queuedTx = append(m.queuedTx, pendingTransfer{
 				name: name, dest: wid, source: m.pickSourceLocked(name, wid), attempts: attempts + 1,
 			})
 		} else {
+			m.reps.RemoveInflight(string(name), wid)
 			for _, rec := range victims {
 				m.retryLocked(rec, fmt.Errorf("staging %s: %s", name, msg.Error))
 			}
@@ -2269,6 +2268,8 @@ func (m *Manager) onDraining(wid int, msg *drainingMsg) {
 	for _, tx := range m.queuedTx {
 		if tx.dest != wid {
 			still = append(still, tx)
+		} else {
+			m.reps.RemoveInflight(string(tx.name), wid)
 		}
 	}
 	m.queuedTx = still
@@ -2317,31 +2318,9 @@ func (m *Manager) soleReplicasLocked(w *workerState) []CacheName {
 				break
 			}
 		}
-		if safe {
-			continue
-		}
 		// A copy already in flight to another worker counts as covered.
-		for _, tx := range m.queuedTx {
-			if tx.name == cn && tx.dest != w.id {
-				safe = true
-				break
-			}
-		}
-		if !safe {
-			for wid, ow := range m.workers {
-				if wid == w.id || !ow.alive {
-					continue
-				}
-				for _, sr := range ow.pendingSources {
-					if sr.name == cn {
-						safe = true
-						break
-					}
-				}
-				if safe {
-					break
-				}
-			}
+		for _, wid := range m.reps.Receivers(f) {
+			safe = safe || wid != w.id
 		}
 		if !safe {
 			sole = append(sole, cn)
@@ -2382,6 +2361,7 @@ func (m *Manager) offloadSoleReplicasLocked(w *workerState) {
 		if m.rec != nil {
 			m.rec.Emit(obs.Event{Type: obs.EvWorkerDrain, Worker: w.name, Detail: "offload " + string(cn) + " to " + m.workers[dest].name})
 		}
+		m.reps.AddInflight(string(cn), dest)
 		m.queuedTx = append(m.queuedTx, pendingTransfer{name: cn, dest: dest, source: w.id, offload: true})
 	}
 }
@@ -2475,7 +2455,9 @@ func (m *Manager) workerLostLocked(wid int) {
 	}
 	w.pendingSources = nil
 
-	// Drop its replicas, so pickSourceLocked can never hand it out again.
+	// Drop its replicas and the transfers in flight to it, so
+	// pickSourceLocked can never hand it out again and placement stops
+	// counting bytes that will not arrive.
 	m.reps.DropHolder(wid)
 
 	// Requeue its staging/running tasks; forget any speculative copy it

@@ -202,6 +202,26 @@ func registerTestLib(t *testing.T) {
 // transfers on, testlib installed hoisted. Extra options are applied to
 // both the manager and the workers (and thus can override defaults or
 // attach a shared recorder).
+// waitUntil returns once cond holds, re-checking it on every change the
+// manager broadcasts, or when timeout elapses; callers check the outcome.
+func waitUntil(m *Manager, timeout time.Duration, cond func() bool) {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for {
+		m.mu.Lock()
+		ch := m.change
+		m.mu.Unlock()
+		if cond() {
+			return
+		}
+		select {
+		case <-ch:
+		case <-deadline.C:
+			return
+		}
+	}
+}
+
 func newCluster(t *testing.T, workers int, coresEach int, opts ...Option) (*Manager, []*Worker) {
 	t.Helper()
 	registerTestLib(t)
@@ -508,10 +528,7 @@ func TestWorkQueueModeRoutesThroughManager(t *testing.T) {
 	}
 	out, _ := p.Output("out")
 	// Wait for the manager to pull the output back (WQ data flow).
-	deadline := time.Now().Add(5 * time.Second)
-	for m.ReplicaCount(out) < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUntil(m, 5*time.Second, func() bool { return m.ReplicaCount(out) >= 2 })
 	h, err := m.Submit(Task{
 		Mode: ModeTask, Library: "testlib", Func: "concat",
 		Inputs:  []FileRef{{Name: "in", CacheName: out}},
@@ -728,10 +745,7 @@ func TestReplicationSurvivesWorkerLoss(t *testing.T) {
 	}
 	out, _ := p.Output("out")
 	// Replication is asynchronous; wait for the second copy.
-	deadline := time.Now().Add(5 * time.Second)
-	for m.ReplicaCount(out) < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUntil(m, 5*time.Second, func() bool { return m.ReplicaCount(out) >= 2 })
 	if m.ReplicaCount(out) < 2 {
 		t.Fatalf("replicas = %d, want 2", m.ReplicaCount(out))
 	}
@@ -745,10 +759,7 @@ func TestReplicationSurvivesWorkerLoss(t *testing.T) {
 		}
 	}
 	victim.Stop()
-	deadline = time.Now().Add(5 * time.Second)
-	for m.WorkerCount() > 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUntil(m, 5*time.Second, func() bool { return m.WorkerCount() <= 1 })
 	data, err := m.FetchBytes(out)
 	if err != nil {
 		t.Fatalf("replica lost with the worker: %v", err)
@@ -768,10 +779,7 @@ func TestReplicationCapsAtWorkerCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, _ := p.Output("out")
-	deadline := time.Now().Add(3 * time.Second)
-	for m.ReplicaCount(out) < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUntil(m, 3*time.Second, func() bool { return m.ReplicaCount(out) >= 2 })
 	if got := m.ReplicaCount(out); got != 2 {
 		t.Fatalf("replicas = %d, want exactly the 2 workers", got)
 	}
