@@ -3,6 +3,7 @@ package vine
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -130,8 +131,28 @@ func TestReadFrameRandomCorruption(t *testing.T) {
 	}
 }
 
+// jsonFrame frames m with a JSON body, the encoding writeFrame uses for
+// every type but dispatch and task_done and readFrame accepts for all.
+func jsonFrame(t testing.TB, m *message) []byte {
+	t.Helper()
+	body, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rawFrame(body)
+}
+
+// rawFrame puts an honest length and CRC-32C header in front of body.
+func rawFrame(body []byte) []byte {
+	frame := make([]byte, 8, 8+len(body))
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(body, castagnoli))
+	return append(frame, body...)
+}
+
 // frameSeeds is one message of every control-frame type, each pointer field
-// filled the way the manager, workers and foremen fill it.
+// filled the way the manager, workers and foremen fill it, plus dispatch and
+// task_done with their slices and maps empty and nil.
 func frameSeeds() []*message {
 	return []*message{
 		{Type: msgHello, Hello: &helloMsg{Name: "w0", Cores: 4, Memory: 1 << 30, TransferAddr: "127.0.0.1:9",
@@ -140,8 +161,13 @@ func frameSeeds() []*message {
 		{Type: msgDispatch, Dispatch: &dispatchMsg{TaskID: 7, Mode: string(ModeFunctionCall), Library: "lib", Func: "fn",
 			Args: []byte{0, 1, 0xff}, Inputs: []fileRefWire{{Name: "in", CacheName: "blob:ab"}},
 			Outputs: []fileRefWire{{Name: "out", CacheName: "task:cd:out"}}, Cores: 1, Memory: 64}},
+		{Type: msgDispatch, Dispatch: &dispatchMsg{TaskID: -1, Args: []byte{}, Inputs: []fileRefWire{},
+			Outputs: []fileRefWire{{}}, Cores: -2, Memory: -3}},
+		{Type: msgDispatch, Dispatch: &dispatchMsg{}},
 		{Type: msgTaskDone, TaskDone: &taskDoneMsg{TaskID: 7, OK: true, Error: "e",
-			OutputSizes: map[string]int64{"task:cd:out": 12}, ExecNanos: 1500, SetupNanos: 20}},
+			OutputSizes: map[string]int64{"task:cd:out": 12, "task:cd:hist": -1, "": 0}, ExecNanos: 1500, SetupNanos: 20}},
+		{Type: msgTaskDone, TaskDone: &taskDoneMsg{TaskID: 1 << 40, OutputSizes: map[string]int64{}, ExecNanos: -1}},
+		{Type: msgTaskDone, TaskDone: &taskDoneMsg{}},
 		{Type: msgPutURL, PutURL: &putURLMsg{CacheName: "blob:ab", Addr: "127.0.0.1:9", Size: 3}},
 		{Type: msgTransferDone, TransferDone: &transferDoneMsg{CacheName: "blob:ab", OK: false, Error: "crc", Size: 3, Corrupt: true}},
 		{Type: msgLibrary, Library: &libraryMsg{Name: "lib", Hoist: true}},
@@ -166,14 +192,18 @@ func frameSeeds() []*message {
 
 // FuzzReadFrame feeds readFrame arbitrary bytes. With fixCRC set, the
 // header's length and CRC are rewritten to match whatever body follows, so
-// mutated payloads get past the checksum to the JSON decoder. readFrame must
-// never panic, and a message it accepts must round-trip through writeFrame:
-// encoding it, reading that back and encoding again gives the same bytes.
+// mutated payloads get past the checksum to the body decoders. Every seed
+// comes in both encodings: writeFrame's (binary for dispatch and task_done)
+// and JSON. readFrame must never panic, and a message it accepts must
+// round-trip through writeFrame: encoding it, reading that back and encoding
+// again gives the same bytes. A JSON dispatch or task_done therefore
+// re-encodes to binary and must survive that.
 func FuzzReadFrame(f *testing.F) {
 	for _, m := range frameSeeds() {
-		frame := encodeFrame(f, m)
-		f.Add(frame, false)
-		f.Add(frame, true)
+		for _, frame := range [][]byte{encodeFrame(f, m), jsonFrame(f, m)} {
+			f.Add(frame, false)
+			f.Add(frame, true)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
 		if fixCRC && len(data) >= 8 {

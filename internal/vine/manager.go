@@ -1682,6 +1682,8 @@ func (m *Manager) dispatchLocked(rec *taskRecord) {
 		d.Outputs = append(d.Outputs, fileRefWire{Name: out, CacheName: string(rec.handle.outputs[out])})
 	}
 	w.conn.send(&message{Type: msgDispatch, Dispatch: d})
+	// A waiter on a handle's state sees TaskRunning without polling.
+	m.notifyLocked()
 }
 
 // releaseWorkerLocked returns a task's cores, in both the manager's

@@ -9,14 +9,13 @@
 // managers and workers (in-process goroutines or the cmd/vineworker binary)
 // over loopback TCP, move real bytes, and survive worker kills. The
 // cluster-scale *performance* questions are answered by the simulation
-// plane (internal/vinesim) which reuses this package's scheduling policies
-// via internal/core.
+// plane (internal/vinesim), which shares this package's placement policy
+// through internal/sched.
 package vine
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -26,9 +25,11 @@ import (
 
 // Control-channel message. Exactly one pointer field is set, discriminated
 // by Type. The framing is a 4-byte little-endian length, a 4-byte
-// little-endian CRC-32C of the payload, then JSON — simple, debuggable,
-// stdlib-only, and a flipped bit anywhere in the payload surfaces as a
-// typed ErrCorruptFrame instead of whatever json.Unmarshal makes of it.
+// little-endian CRC-32C of the body, then the body: binary for dispatch and
+// task_done, the two frames every task costs (wire.go), and JSON for every
+// other type — debuggable and stdlib-only. A flipped bit anywhere in the
+// body surfaces as a typed ErrCorruptFrame instead of whatever the decoder
+// makes of it.
 type message struct {
 	Type string `json:"type"`
 
@@ -277,10 +278,15 @@ type foremanReportMsg struct {
 
 const maxFrame = 64 << 20 // 64 MB control-message cap
 
-// conn wraps a TCP connection with framed JSON I/O and a non-blocking send
+// maxBatchBuf is the largest encode buffer a conn keeps between batches,
+// so one large hello inventory does not pin its memory for the conn's life.
+const maxBatchBuf = 1 << 20
+
+// conn wraps a TCP connection with framed I/O and a non-blocking send
 // queue. Sends never block the caller: a dedicated writer goroutine drains
 // the queue, so manager and worker can both be mid-send without
-// deadlocking.
+// deadlocking. The writer takes the whole queue at each wake-up and sends
+// it with one Write.
 type conn struct {
 	c       net.Conn
 	r       *bufio.Reader
@@ -310,6 +316,8 @@ func (cc *conn) send(m *message) {
 }
 
 func (cc *conn) writeLoop() {
+	var buf []byte
+	var spare []*message // the previous batch's backing array, reused as the queue
 	for {
 		cc.mu.Lock()
 		for len(cc.queue) == 0 && !cc.closed {
@@ -319,11 +327,28 @@ func (cc *conn) writeLoop() {
 			cc.mu.Unlock()
 			return
 		}
-		m := cc.queue[0]
-		cc.queue = cc.queue[1:]
+		batch := cc.queue
+		cc.queue = spare
 		cc.mu.Unlock()
 
-		if err := writeFrame(cc.c, m); err != nil {
+		var err error
+		buf = buf[:0]
+		for _, m := range batch {
+			if buf, err = appendFrame(buf, m); err != nil {
+				break
+			}
+		}
+		if len(buf) > 0 {
+			if _, werr := cc.c.Write(buf); err == nil {
+				err = werr
+			}
+		}
+		clear(batch)
+		spare = batch[:0]
+		if cap(buf) > maxBatchBuf {
+			buf = nil
+		}
+		if err != nil {
 			cc.mu.Lock()
 			cc.sendErr = err
 			cc.closed = true
@@ -350,20 +375,11 @@ func (cc *conn) close() {
 }
 
 func writeFrame(w io.Writer, m *message) error {
-	data, err := json.Marshal(m)
+	buf, err := appendFrame(nil, m)
 	if err != nil {
-		return fmt.Errorf("vine: encoding %s: %w", m.Type, err)
-	}
-	if len(data) > maxFrame {
-		return fmt.Errorf("vine: frame too large (%d bytes)", len(data))
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(data)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(data, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(data)
+	_, err = w.Write(buf)
 	return err
 }
 
@@ -384,11 +400,7 @@ func readFrame(r io.Reader) (*message, error) {
 	if got := crc32.Checksum(data, castagnoli); got != want {
 		return nil, fmt.Errorf("%w: crc32c %08x, want %08x over %d bytes", ErrCorruptFrame, got, want, n)
 	}
-	var m message
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("vine: decoding frame: %w", err)
-	}
-	return &m, nil
+	return decodeBody(data)
 }
 
 // frameChunk is the largest body readBody allocates before any of it has

@@ -595,7 +595,9 @@ func TestRunningTaskRequeuedOnWorkerDeath(t *testing.T) {
 	// Fill both workers with sleeps, then kill one mid-flight.
 	h1, _ := m.SubmitFunc(ModeTask, "testlib", "sleep50", []byte("1"), "out")
 	h2, _ := m.SubmitFunc(ModeTask, "testlib", "sleep50", []byte("2"), "out")
-	time.Sleep(10 * time.Millisecond) // let them dispatch
+	waitUntil(m, 5*time.Second, func() bool {
+		return h1.State() == TaskRunning && h2.State() == TaskRunning
+	})
 	ws[0].Stop()
 	if err := h1.Wait(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -870,10 +872,7 @@ func TestManagerIntrospection(t *testing.T) {
 		t.Fatalf("task counts = %v", counts)
 	}
 	ws[0].Stop()
-	deadline := time.Now().Add(3 * time.Second)
-	for m.WorkerCount() != 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUntil(m, 3*time.Second, func() bool { return m.WorkerCount() == 1 })
 	alive := 0
 	for _, wi := range m.Workers() {
 		if wi.Alive {
