@@ -2,10 +2,8 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
-	"hash/crc32"
-	"io"
 	"os"
+	"slices"
 	"time"
 )
 
@@ -45,6 +43,7 @@ type Follower struct {
 	gen  uint64   // generation of f (snapshots and segments share the counter)
 	off  int64    // byte offset of the next unread frame in f
 	snap bool     // f is a snapshot, not a segment
+	buf  []byte   // payload buffer, reused across frames
 	st   FollowerStats
 }
 
@@ -264,27 +263,20 @@ func (f *Follower) readFrames(fn func(Record)) int64 {
 			return delivered // short header: wait (or seal-check in caller)
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
 		if n == 0 || n > maxRecord {
 			// Untrusted length gone bad: no way to find the next boundary.
 			// Treat like an unreadable tail; the seal check decides whether
 			// it's "wait" (can't happen for an append-only writer) or torn.
 			return delivered
 		}
-		payload := make([]byte, n)
-		if _, err := f.f.ReadAt(payload, f.off+frameHeader); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return delivered // partial payload: wait for the rest
-			}
-			return delivered
+		// Reused across frames: decodeRecord copies everything it keeps.
+		f.buf = slices.Grow(f.buf[:0], int(n))[:n]
+		if _, err := f.f.ReadAt(f.buf, f.off+frameHeader); err != nil {
+			return delivered // partial payload: wait for the rest
 		}
 		f.off += frameHeader + int64(n)
-		if crc32.Checksum(payload, castagnoli) != want {
-			f.st.Skipped++
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := frameRecord(f.buf, binary.LittleEndian.Uint32(hdr[4:8]))
+		if err != nil {
 			f.st.Skipped++
 			continue
 		}

@@ -21,7 +21,29 @@ func TestFollowerLiveTail(t *testing.T) {
 	var (
 		mu   sync.Mutex
 		seen []int
+		// progress is signalled by the follower callback after every record,
+		// so a waiter rechecks len(seen) only when it may have changed.
+		progress = make(chan struct{}, 1)
 	)
+	// waitSeen blocks until the follower has delivered n records, or for
+	// at most within, and reports how many it had delivered.
+	waitSeen := func(n int, within time.Duration) int {
+		timeout := time.NewTimer(within)
+		defer timeout.Stop()
+		for {
+			mu.Lock()
+			got := len(seen)
+			mu.Unlock()
+			if got >= n {
+				return got
+			}
+			select {
+			case <-progress:
+			case <-timeout.C:
+				return got
+			}
+		}
+	}
 	fl := NewFollower(dir, FollowerOptions{
 		PollInterval: 200 * time.Microsecond,
 		OnReset: func() {
@@ -43,6 +65,10 @@ func TestFollowerLiveTail(t *testing.T) {
 			mu.Lock()
 			seen = append(seen, r.TaskID)
 			mu.Unlock()
+			select {
+			case progress <- struct{}{}:
+			default:
+			}
 		})
 	}()
 
@@ -55,18 +81,8 @@ func TestFollowerLiveTail(t *testing.T) {
 		// This must be a hard barrier: returning early would let the writer
 		// snapshot unread history, turning scheduler starvation into a
 		// legitimate-looking reset that the test then misdiagnoses.
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			mu.Lock()
-			got := len(seen)
-			mu.Unlock()
-			if got >= n {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("follower stalled: delivered %d records, writer waiting for %d", got, n)
-			}
-			time.Sleep(time.Millisecond)
+		if got := waitSeen(n, 60*time.Second); got < n {
+			t.Fatalf("follower stalled: delivered %d records, writer waiting for %d", got, n)
 		}
 	}
 	type cut struct {
@@ -100,16 +116,7 @@ func TestFollowerLiveTail(t *testing.T) {
 	}
 
 	// Wait for the follower to drain everything durable, then stop it.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		n := len(seen)
-		mu.Unlock()
-		if n >= total || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSeen(total, 10*time.Second)
 	close(stop)
 	wg.Wait()
 	fl.Close()

@@ -13,15 +13,22 @@
 //	snap-00000002.snap  snapshot covering every segment with gen <= 2
 //	wal-00000003.log    active segment
 //
-// Frame envelope — the same CRC-32C (Castagnoli) shape PR 4 put on every
-// control frame:
+// Frame envelope — the same CRC-32C (Castagnoli) shape as every control
+// frame:
 //
-//	[4-byte LE payload length][4-byte LE CRC-32C of payload][JSON payload]
+//	[4-byte LE payload length][4-byte LE CRC-32C of payload][payload]
 //
-// Durability model: Append buffers in memory and a group-commit timer
-// (Options.SyncDelay) writes + fsyncs the batch, so a burst of completions
-// costs one fsync, not one per record. Sync flushes synchronously and is the
-// barrier callers use before declaring state durable. Replay tolerates
+// The payload is a binary record (record.go): a tag byte below 0x20 naming
+// the Kind, then the fields as varints and length-prefixed strings. A
+// payload whose first byte is 0x20 or above is JSON, the body journals
+// written before the binary one carry; replay decodes both.
+//
+// Durability model: Append encodes into an in-memory batch and a
+// group-commit timer (Options.SyncDelay) writes + fsyncs it, so a burst of
+// completions costs one fsync, not one per record. The flush swaps the batch
+// out under the append lock and writes it under a separate flush lock, so
+// Append never waits for a write or fsync. Sync flushes synchronously and is
+// the barrier callers use before declaring state durable. Replay tolerates
 // exactly the failures a crash can produce: a torn tail (partial frame at
 // the end of a segment) stops that segment's replay at the last valid frame;
 // a bit flip inside a frame fails the CRC and the frame is skipped and
@@ -44,14 +51,15 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -63,14 +71,24 @@ const (
 	// as a corrupt length during replay (lengths are untrusted bytes).
 	maxRecord = 16 << 20
 
+	// maxSpare caps the flushed batch buffer kept for reuse; a larger one
+	// (a burst) is left to the collector.
+	maxSpare = 1 << 20
+	// replayBuffer is the read-ahead Replay uses per file, so a frame
+	// costs no read syscall of its own.
+	replayBuffer = 64 << 10
+
 	DefaultSegmentBytes = 4 << 20
 	DefaultSyncDelay    = 2 * time.Millisecond
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrClosed is returned by Append/Sync on a closed journal.
-var ErrClosed = errors.New("journal: closed")
+var (
+	// ErrClosed is returned by Append/Sync on a closed journal.
+	ErrClosed = errors.New("journal: closed")
+	errBadCRC = errors.New("journal: frame checksum mismatch")
+)
 
 // Kind discriminates Record payloads.
 type Kind string
@@ -111,9 +129,9 @@ type TaskSpec struct {
 	DeadlineNanos int64 `json:"dl,omitempty"`
 }
 
-// Record is one journal entry. A single struct with kind-dependent fields
-// keeps the wire format trivially forward-compatible (unknown fields are
-// ignored on replay).
+// Record is one journal entry: a single struct with kind-dependent fields,
+// all of which the binary body carries for every kind. The JSON tags name
+// the fields of the JSON body older journals carry.
 type Record struct {
 	Kind Kind `json:"k"`
 
@@ -165,19 +183,26 @@ type Journal struct {
 	dir  string
 	opts Options
 
+	// flushMu serializes everything that writes files: the group-commit
+	// flush, rotation, Cut, WriteSnapshot, Close, and Replay's opening
+	// flush. The lock order is flushMu, then mu. Append takes only mu, so a
+	// write or fsync in progress never blocks it.
+	flushMu  sync.Mutex
+	f        *os.File // active segment
+	gen      uint64   // active segment generation
+	size     int64    // bytes written to active segment
+	lastSnap uint64   // generation of the newest snapshot
+
 	mu       sync.Mutex
-	f        *os.File
-	gen      uint64 // active segment generation
-	size     int64  // bytes written to active segment
 	pending  []byte // framed records awaiting flush
+	spare    []byte // the last flushed batch's buffer, reused as pending
 	timerSet bool
-	lastSnap uint64 // generation of the newest snapshot
 	// sinceCut counts bytes written to segments since the last Cut (on
 	// Open: the tail left after the newest snapshot); snapBytes is the size
 	// of the newest snapshot. CompactionDue compares the two.
 	sinceCut  int64
 	snapBytes int64
-	closed    bool
+	closed    bool  // set under both locks, so either one suffices to read it
 	err       error // first write error, sticky
 	st        Stats
 }
@@ -223,7 +248,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 			j.sinceCut += fileSize(j.segPath(g))
 		}
 	}
-	if err := j.openSegmentLocked(); err != nil {
+	if err := j.openSegment(); err != nil {
 		return nil, err
 	}
 	return j, nil
@@ -293,7 +318,9 @@ func scanDir(dir string) (segs, snaps []uint64, err error) {
 	return segs, snaps, nil
 }
 
-func (j *Journal) openSegmentLocked() error {
+// openSegment creates the next generation's segment. The caller holds
+// flushMu (or is Open).
+func (j *Journal) openSegment() error {
 	j.gen++
 	f, err := os.OpenFile(j.segPath(j.gen), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
@@ -304,29 +331,10 @@ func (j *Journal) openSegmentLocked() error {
 	return nil
 }
 
-// encodeFrame frames one record: length + CRC-32C + JSON payload.
-func encodeFrame(rec *Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encoding record: %w", err)
-	}
-	if len(payload) > maxRecord {
-		return nil, fmt.Errorf("journal: record too large (%d bytes)", len(payload))
-	}
-	buf := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	copy(buf[frameHeader:], payload)
-	return buf, nil
-}
-
-// Append queues one record for the next group commit and returns the framed
-// size. It never blocks on disk unless a flush is already in progress.
+// Append encodes one record into the batch awaiting the next group commit
+// and returns its framed size. It takes only mu, so it never waits for a
+// write or fsync in progress.
 func (j *Journal) Append(rec *Record) (int, error) {
-	buf, err := encodeFrame(rec)
-	if err != nil {
-		return 0, err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -335,81 +343,117 @@ func (j *Journal) Append(rec *Record) (int, error) {
 	if j.err != nil {
 		return 0, j.err
 	}
-	j.pending = append(j.pending, buf...)
+	start := len(j.pending)
+	var err error
+	if j.pending, err = appendFrame(j.pending, rec); err != nil {
+		return 0, err
+	}
+	n := len(j.pending) - start
 	j.st.Appends++
-	j.st.AppendedBytes += int64(len(buf))
+	j.st.AppendedBytes += int64(n)
 	if !j.timerSet {
 		j.timerSet = true
 		time.AfterFunc(j.opts.SyncDelay, j.flushTimer)
 	}
-	return len(buf), nil
+	return n, nil
 }
 
 func (j *Journal) flushTimer() {
+	j.flushMu.Lock()
+	defer j.flushMu.Unlock()
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.timerSet = false
-	j.flushLocked()
+	j.mu.Unlock()
+	j.flush()
 }
 
-// flushLocked writes and fsyncs pending records and rotates the segment if
-// it grew past SegmentBytes. Errors are sticky.
-func (j *Journal) flushLocked() {
-	if len(j.pending) == 0 || j.closed && j.f == nil {
-		return
-	}
+// flush writes and fsyncs the pending batch and rotates the segment if it
+// grew past SegmentBytes. The caller holds flushMu. mu is held only to swap
+// the batch out and to account for it, so Appends fill the next batch while
+// this one is on its way to disk. Errors are sticky; a batch appended
+// during a failed flush is dropped.
+func (j *Journal) flush() {
+	j.mu.Lock()
 	buf := j.pending
-	j.pending = nil
-	if _, err := j.f.Write(buf); err != nil {
-		j.err = fmt.Errorf("journal: write: %w", err)
+	if len(buf) == 0 || j.err != nil || j.f == nil {
+		j.pending = buf[:0]
+		j.mu.Unlock()
 		return
 	}
-	if !j.opts.NoFsync {
-		if err := j.f.Sync(); err != nil {
-			j.err = fmt.Errorf("journal: fsync: %w", err)
-			return
+	j.pending, j.spare = j.spare, nil
+	j.mu.Unlock()
+
+	_, err := j.f.Write(buf)
+	if err != nil {
+		err = fmt.Errorf("journal: write: %w", err)
+	} else if !j.opts.NoFsync {
+		if err = j.f.Sync(); err != nil {
+			err = fmt.Errorf("journal: fsync: %w", err)
 		}
 	}
-	j.size += int64(len(buf))
+
+	j.mu.Lock()
+	if cap(buf) <= maxSpare {
+		j.spare = buf[:0]
+	}
+	if err != nil {
+		j.err = err
+		j.mu.Unlock()
+		return
+	}
 	j.sinceCut += int64(len(buf))
 	j.st.Syncs++
+	j.mu.Unlock()
+	j.size += int64(len(buf))
 	if j.size >= j.opts.SegmentBytes {
-		j.rotateLocked()
+		j.rotate()
 	}
 }
 
-func (j *Journal) rotateLocked() {
+// rotate seals the active segment and opens the next. The caller holds
+// flushMu.
+func (j *Journal) rotate() error {
 	j.f.Close()
-	if err := j.openSegmentLocked(); err != nil {
+	err := j.openSegment()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err != nil {
 		j.err = err
-		return
+		return err
 	}
 	j.st.Rotations++
+	return nil
 }
 
 // Sync flushes all pending appends to disk (write + fsync) before returning.
 // This is the durability barrier: after Sync returns, every Append that
-// happened-before is crash-safe.
+// happened-before is crash-safe. A flush already in progress holds flushMu,
+// so Sync also waits for the batch that flush took.
 func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.flushMu.Lock()
+	defer j.flushMu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	j.flushLocked()
-	return j.err
+	j.flush()
+	return j.Err()
 }
 
 // Close flushes and closes the journal. Further appends fail with ErrClosed.
 func (j *Journal) Close() error {
+	j.flushMu.Lock()
+	defer j.flushMu.Unlock()
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.closed {
+		j.mu.Unlock()
 		return nil
 	}
-	j.flushLocked()
+	// Closed before the final flush, so every Append that succeeded is in
+	// the batch it writes.
 	j.closed = true
-	err := j.err
+	j.mu.Unlock()
+	j.flush()
+	err := j.Err()
 	if j.f != nil {
 		if cerr := j.f.Close(); err == nil {
 			err = cerr
@@ -425,12 +469,14 @@ func (j *Journal) Close() error {
 // valid frame. Replay must not race Append: call it after Open (before
 // appending) or after the writer has stopped.
 func (j *Journal) Replay(fn func(Record)) (Stats, error) {
-	j.mu.Lock()
-	j.flushLocked()
+	j.flushMu.Lock()
+	j.flush()
 	snapGen := j.lastSnap
 	activeGen := j.gen
+	j.mu.Lock()
 	j.st.Replayed, j.st.Skipped, j.st.TornTails = 0, 0, 0
 	j.mu.Unlock()
+	j.flushMu.Unlock()
 
 	segs, snaps, err := scanDir(j.dir)
 	if err != nil {
@@ -472,8 +518,13 @@ func replaySegment(path string, fn func(Record)) (replayed, skipped, torn int64)
 		return 0, 0, 0
 	}
 	defer f.Close()
-	r := io.Reader(f)
+	return replayFrames(bufio.NewReaderSize(f, replayBuffer), fn)
+}
+
+// replayFrames is replaySegment's loop over the frames of one file.
+func replayFrames(r io.Reader, fn func(Record)) (replayed, skipped, torn int64) {
 	var hdr [frameHeader]byte
+	var payload []byte // reused: decodeRecord copies everything it keeps
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if err != io.EOF {
@@ -482,30 +533,34 @@ func replaySegment(path string, fn func(Record)) (replayed, skipped, torn int64)
 			return
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
 		if n == 0 || n > maxRecord {
 			// The length itself is untrusted; a bogus value means we cannot
 			// find the next frame boundary, so the rest of the file is lost.
 			torn++
 			return
 		}
-		payload := make([]byte, n)
+		payload = slices.Grow(payload[:0], int(n))[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			torn++
 			return
 		}
-		if crc32.Checksum(payload, castagnoli) != want {
-			skipped++
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := frameRecord(payload, binary.LittleEndian.Uint32(hdr[4:8]))
+		if err != nil {
 			skipped++
 			continue
 		}
 		fn(rec)
 		replayed++
 	}
+}
+
+// frameRecord checks a frame's payload against the CRC-32C from its header
+// and decodes it.
+func frameRecord(payload []byte, crc uint32) (Record, error) {
+	if crc32.Checksum(payload, castagnoli) != crc {
+		return Record{}, errBadCRC
+	}
+	return decodeRecord(payload)
 }
 
 // Cut flushes, seals the active segment, and opens a fresh one. It returns
@@ -524,44 +579,48 @@ func replaySegment(path string, fn func(Record)) (replayed, skipped, torn int64)
 // With no sealed data at all the returned generation is 0, which
 // WriteSnapshot treats as a no-op.
 func (j *Journal) Cut() (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.flushMu.Lock()
+	defer j.flushMu.Unlock()
 	if j.closed {
 		return 0, ErrClosed
 	}
-	j.flushLocked()
-	if j.err != nil {
-		return 0, j.err
+	j.flush()
+	j.mu.Lock()
+	err := j.err
+	if err == nil {
+		j.sinceCut = 0
 	}
-	j.sinceCut = 0
+	j.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 	if j.size == 0 {
 		return j.gen - 1, nil
 	}
 	g := j.gen
-	j.rotateLocked()
-	return g, j.err
+	return g, j.rotate()
 }
 
 // WriteSnapshot atomically writes a snapshot covering every segment with
 // generation <= upTo, then deletes those segments (and older snapshots).
-// A stale upTo (already covered by a newer snapshot) is a no-op.
+// A stale upTo (already covered by a newer snapshot) is a no-op. Appends
+// proceed while the snapshot is written; group commits wait for it.
 func (j *Journal) WriteSnapshot(upTo uint64, recs []Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	var buf []byte
+	for i := range recs {
+		var err error
+		if buf, err = appendFrame(buf, &recs[i]); err != nil {
+			return err
+		}
+	}
+	j.flushMu.Lock()
+	defer j.flushMu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
 	if upTo == 0 || upTo <= j.lastSnap || upTo >= j.gen {
 		// upTo >= j.gen would cover the active segment; Cut first.
 		return nil
-	}
-	var buf []byte
-	for i := range recs {
-		b, err := encodeFrame(&recs[i])
-		if err != nil {
-			return err
-		}
-		buf = append(buf, b...)
 	}
 	tmp := j.snapPath(upTo) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -587,9 +646,11 @@ func (j *Journal) WriteSnapshot(upTo uint64, recs []Record) error {
 	}
 	prevSnap := j.lastSnap
 	j.lastSnap = upTo
+	j.mu.Lock()
 	j.snapBytes = int64(len(buf))
 	j.st.Snapshots++
 	j.st.SnapshotBytes += int64(len(buf))
+	j.mu.Unlock()
 	segs, snaps, err := scanDir(j.dir)
 	if err != nil {
 		return nil // snapshot landed; cleanup is best-effort

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +21,12 @@ import (
 // badTrailerServer is a minimal transfer server that answers every GET
 // with the given body and an attacker-controlled CRC trailer.
 func badTrailerServer(t *testing.T, body []byte, crc uint32) string {
+	reply := fmt.Appendf(nil, "OK %d\n", len(body))
+	return scriptedServer(t, binary.LittleEndian.AppendUint32(append(reply, body...), crc))
+}
+
+// scriptedServer answers every GET with reply, verbatim, and hangs up.
+func scriptedServer(t *testing.T, reply []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -37,15 +44,38 @@ func badTrailerServer(t *testing.T, body []byte, crc uint32) string {
 				if _, err := bufio.NewReader(c).ReadString('\n'); err != nil {
 					return
 				}
-				fmt.Fprintf(c, "OK %d\n", len(body))
-				c.Write(body)
-				var trailer [4]byte
-				binary.LittleEndian.PutUint32(trailer[:], crc)
-				c.Write(trailer[:])
+				c.Write(reply)
 			}(c)
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// A transfer header claiming a huge size allocates no more than the
+// presize cap plus what arrives; an honest one lands in one allocation
+// (no doubling growth, no final copy).
+func TestFetchBytesAllocatesWhatArrives(t *testing.T) {
+	fetchAlloc := func(addr string) ([]byte, uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		data, err := defaultNetConfig().fetchBytes(addr, "blob:test", "test/fetch")
+		runtime.ReadMemStats(&after)
+		return data, after.TotalAlloc - before.TotalAlloc, err
+	}
+	forged := scriptedServer(t, append([]byte("OK 1099511627776\n"), make([]byte, 100)...))
+	if _, alloc, err := fetchAlloc(forged); err == nil || alloc > fetchPresizeMax+256<<10 {
+		t.Fatalf("forged 1 TiB size with 100 bytes sent: err %v, allocated %d bytes", err, alloc)
+	}
+
+	body := bytes.Repeat([]byte("histogram bytes "), 48<<10) // 768 KiB
+	honest := badTrailerServer(t, body, crc32.Checksum(body, castagnoli))
+	data, alloc, err := fetchAlloc(honest)
+	if err != nil || !bytes.Equal(data, body) {
+		t.Fatalf("honest fetch: %v", err)
+	}
+	if alloc > uint64(len(body))+256<<10 {
+		t.Fatalf("fetching %d bytes allocated %d", len(body), alloc)
+	}
 }
 
 func TestFetchDetectsCorruptTrailer(t *testing.T) {

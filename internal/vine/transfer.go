@@ -206,6 +206,12 @@ func (nc netConfig) fetch(addr string, name CacheName, w io.Writer, label string
 	if err != nil || size < 0 {
 		return 0, 0, fmt.Errorf("vine: malformed transfer size in %q", line)
 	}
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		// An in-memory destination takes the body in one allocation; the
+		// cap keeps a forged size from allocating more than that before
+		// the bytes arrive.
+		g.Grow(int(min(size, fetchPresizeMax)))
+	}
 	h := crc32.New(castagnoli)
 	n, err := io.Copy(io.MultiWriter(w, h), io.LimitReader(r, size))
 	if err != nil {
@@ -231,12 +237,31 @@ func fetchBytes(addr string, name CacheName) ([]byte, error) {
 	return defaultNetConfig().fetchBytes(addr, name, "fetch")
 }
 
+// fetchPresizeMax caps how much fetchBytes allocates on the word of a
+// transfer header; a larger body grows the buffer as it arrives.
+const fetchPresizeMax = 1 << 20
+
 func (nc netConfig) fetchBytes(addr string, name CacheName, label string) ([]byte, error) {
-	var b strings.Builder
+	b := byteSink{} // non-nil even when empty: callers tell nil from empty data
 	if _, _, err := nc.fetch(addr, name, &b, label); err != nil {
 		return nil, err
 	}
-	return []byte(b.String()), nil
+	return b, nil
+}
+
+// byteSink collects a transfer body in memory. fetch calls Grow with the
+// size from the transfer header before the body arrives.
+type byteSink []byte
+
+func (s *byteSink) Grow(n int) {
+	if cap(*s)-len(*s) < n {
+		*s = append(make([]byte, 0, len(*s)+n), *s...)
+	}
+}
+
+func (s *byteSink) Write(p []byte) (int, error) {
+	*s = append(*s, p...)
+	return len(p), nil
 }
 
 // fetchToFile retrieves a cachename into a file, atomically (temp + rename)

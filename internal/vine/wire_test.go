@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hepvine/internal/wire"
 )
 
 // The binary and JSON bodies of a dispatch or task_done decode to the same
@@ -86,11 +88,11 @@ func TestBinaryBodyRejects(t *testing.T) {
 	}{
 		{"unknown tag", "unknown binary tag", []byte{3, 0}},
 		{"trailing bytes", "trailing bytes", append(append([]byte(nil), done...), 0)},
-		{"truncated varint", errTruncated.Error(), []byte{tagDispatch, 0x80}},
+		{"truncated varint", wire.ErrTruncated.Error(), []byte{tagDispatch, 0x80}},
 		{"bool byte 2", "bool byte 2", badBool},
-		{"string past the end", errTruncated.Error(), []byte{tagDispatch, 0, 5, 'a'}},
+		{"string past the end", wire.ErrTruncated.Error(), []byte{tagDispatch, 0, 5, 'a'}},
 		{"unsorted output sizes", "out of order", unsorted},
-		{"tag only", errTruncated.Error(), []byte{tagTaskDone}},
+		{"tag only", wire.ErrTruncated.Error(), []byte{tagTaskDone}},
 	} {
 		m, err := readFrame(bytes.NewReader(rawFrame(tc.body)))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -112,7 +114,7 @@ func TestBinaryForgedCountAllocatesWhatArrives(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err := readFrame(bytes.NewReader(frame))
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), errTruncated.Error()) {
+	if err == nil || !strings.Contains(err.Error(), wire.ErrTruncated.Error()) {
 		t.Fatalf("forged count: got %v, want a truncation error", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2*frameChunk {
