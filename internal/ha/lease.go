@@ -94,6 +94,7 @@ type Lease struct {
 	lost      bool
 	lostC     chan struct{}
 	stopC     chan struct{}
+	doneC     chan struct{} // closed when renewLoop has returned
 	stopped   bool
 }
 
@@ -124,6 +125,7 @@ func AcquireLease(path, holder string, ttl time.Duration) (*Lease, error) {
 		epoch:  epoch,
 		lostC:  make(chan struct{}),
 		stopC:  make(chan struct{}),
+		doneC:  make(chan struct{}),
 	}
 	if err := l.write(now); err != nil {
 		return nil, err
@@ -133,8 +135,11 @@ func AcquireLease(path, holder string, ttl time.Duration) (*Lease, error) {
 }
 
 // write persists the lease whole (tmp+rename) with a fresh renewal stamp.
+// The temp file is unique per write, so two holders in one process (a
+// primary and its usurper) never interleave bytes in a shared temp name.
 func (l *Lease) write(now time.Time) error {
-	if err := os.MkdirAll(filepath.Dir(l.path), 0o755); err != nil {
+	dir := filepath.Dir(l.path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("ha: %w", err)
 	}
 	data, err := json.Marshal(leaseFile{
@@ -144,8 +149,20 @@ func (l *Lease) write(now time.Time) error {
 	if err != nil {
 		return err
 	}
-	tmp := fmt.Sprintf("%s.%d.tmp", l.path, os.Getpid())
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(dir, filepath.Base(l.path)+".*.tmp")
+	if err != nil {
+		return fmt.Errorf("ha: lease write: %w", err)
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp, 0o644)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("ha: lease write: %w", err)
 	}
 	if err := os.Rename(tmp, l.path); err != nil {
@@ -160,6 +177,7 @@ func (l *Lease) write(now time.Time) error {
 // this holder wasn't looking; the lease is marked lost and never touched
 // again (overwriting the usurper's file would be the split-brain).
 func (l *Lease) renewLoop() {
+	defer close(l.doneC)
 	t := time.NewTicker(l.ttl / 3)
 	defer t.Stop()
 	for {
@@ -228,8 +246,10 @@ func (l *Lease) Resume() {
 	l.mu.Unlock()
 }
 
-// Release stops renewing. The file is left in place — see the type
-// comment — so a successor still waits out the TTL.
+// Release stops renewing and returns once the renewal goroutine has
+// exited, so no renewal writes the lease directory after Release. The
+// file is left in place — see the type comment — so a successor still
+// waits out the TTL.
 func (l *Lease) Release() {
 	l.mu.Lock()
 	if !l.stopped {
@@ -237,4 +257,5 @@ func (l *Lease) Release() {
 		close(l.stopC)
 	}
 	l.mu.Unlock()
+	<-l.doneC
 }

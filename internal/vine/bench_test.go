@@ -3,6 +3,7 @@ package vine
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -112,5 +113,52 @@ func BenchmarkFunctionCallThroughput(b *testing.B) {
 		if err := h.Wait(30 * time.Second); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTransfer measures one data-plane fetch of a cached task output
+// from a worker's transfer server, into memory (the manager's collection
+// path) and into a file (worker-to-worker staging). 2363 B is the size of
+// a DV3 histogram partial; 1 MiB is the shuffle workload's blob.
+func BenchmarkTransfer(b *testing.B) {
+	m := benchCluster(b, 1)
+	for _, size := range []int{2363, 1 << 20} {
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte(i * 7)
+		}
+		h, err := m.SubmitFunc(ModeFunctionCall, "benchlib", "noop", payload, "out")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := h.Wait(10 * time.Second); err != nil {
+			b.Fatal(err)
+		}
+		cn, _ := h.Output("out")
+		addr, _, ok := m.ReplicaInfo(cn)
+		if !ok {
+			b.Fatalf("no replica of the %d-byte output", size)
+		}
+		nc := defaultNetConfig()
+		b.Run(fmt.Sprintf("%dB/memory", size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				data, err := nc.fetchBytes(addr, cn, "bench/fetch")
+				if err != nil || len(data) != size {
+					b.Fatalf("fetched %d bytes: %v", len(data), err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("%dB/file", size), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "dst")
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n, _, err := nc.fetchToFile(addr, cn, path, "bench/fetch"); err != nil || n != int64(size) {
+					b.Fatalf("fetched %d bytes: %v", n, err)
+				}
+			}
+		})
 	}
 }

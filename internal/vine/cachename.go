@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"strings"
@@ -47,19 +48,21 @@ func blobName(data []byte) CacheName {
 	return CacheName("blob:" + hex.EncodeToString(h[:]))
 }
 
-// fileBlobName content-addresses a file on disk by streaming its content.
-func fileBlobName(path string) (CacheName, int64, error) {
+// fileBlobName content-addresses a file on disk by streaming its content,
+// returning its size and, from the same read pass, the CRC-32C the
+// transfer server stores for it.
+func fileBlobName(path string) (CacheName, int64, uint32, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return "", 0, err
+		return "", 0, 0, err
 	}
 	defer f.Close()
-	h := sha256.New()
-	n, err := io.Copy(h, f)
+	h, c := sha256.New(), crc32.New(castagnoli)
+	n, err := io.Copy(io.MultiWriter(h, c), f)
 	if err != nil {
-		return "", 0, err
+		return "", 0, 0, err
 	}
-	return CacheName("blob:" + hex.EncodeToString(h.Sum(nil))), n, nil
+	return CacheName("blob:" + hex.EncodeToString(h.Sum(nil))), n, c.Sum32(), nil
 }
 
 // taskDefHash hashes the semantic definition of a task: mode, library,

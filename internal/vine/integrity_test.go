@@ -98,6 +98,32 @@ func TestFetchDetectsCorruptTrailer(t *testing.T) {
 	}
 }
 
+// A reply cut short in the body or in its trailer fails as that, not as a
+// corrupt payload, into memory and into a file alike.
+func TestFetchRejectsTruncatedReply(t *testing.T) {
+	body := []byte("histogram bytes")
+	full := fmt.Appendf(nil, "OK %d\n", len(body))
+	hdr := len(full)
+	full = binary.LittleEndian.AppendUint32(append(full, body...), crc32.Checksum(body, castagnoli))
+	for _, tc := range []struct {
+		cut  int
+		want string
+	}{
+		{hdr, "short transfer: 0 of 15"},
+		{hdr + 5, "short transfer: 5 of 15"},
+		{len(full) - 2, "reading transfer checksum"},
+	} {
+		addr := scriptedServer(t, full[:tc.cut])
+		_, memErr := defaultNetConfig().fetchBytes(addr, "blob:test", "test/fetch")
+		_, _, fileErr := defaultNetConfig().fetchToFile(addr, "blob:test", t.TempDir()+"/dst", "test/fetch")
+		for _, err := range []error{memErr, fileErr} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) || errors.Is(err, ErrCorruptTransfer) {
+				t.Fatalf("reply cut to %d of %d bytes: err %v, want %q", tc.cut, len(full), err, tc.want)
+			}
+		}
+	}
+}
+
 // The real server↔fetch pair must round-trip with the checksum verified.
 func TestTransferChecksumRoundTrip(t *testing.T) {
 	m, _ := newCluster(t, 1, 1)
@@ -110,6 +136,80 @@ func TestTransferChecksumRoundTrip(t *testing.T) {
 	}
 	if got := string(fetchOutput(t, m, h, "out")); got != "echo:payload" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// A cached file that rots on disk after it entered the cache still goes
+// out with the CRC-32C it was stored with, so the fetcher sees a mismatch:
+// the rotted replica is quarantined and lineage regenerates the true bytes.
+func TestRotAtRestCaughtOnReceipt(t *testing.T) {
+	m, ws := newCluster(t, 1, 1, WithRecoveryTimeout(10*time.Second))
+	h, err := m.SubmitFunc(ModeTask, "testlib", "echo", []byte("precious"), "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Wait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cn, _ := h.Output("out")
+	m.mu.Lock()
+	holders := m.reps.Holders(string(cn))
+	m.mu.Unlock()
+	if len(holders) != 1 {
+		t.Fatalf("output held by %v, want one worker", holders)
+	}
+	path := ws[0].cachePath(cn)
+	want := []byte("echo:precious")
+	if err := writeFileHelper(path, bytes.ToUpper(want)); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := m.FetchBytes(cn)
+	if err != nil {
+		t.Fatalf("FetchBytes of a rotted replica: %v", err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("FetchBytes returned %q, want the regenerated %q", data, want)
+	}
+	if st := m.Stats(); st.CorruptTransfers < 1 {
+		t.Fatalf("CorruptTransfers = %d, want >= 1", st.CorruptTransfers)
+	}
+}
+
+// A declared file rewritten after DeclareFile no longer matches the
+// cachename its hash gave it. Staging it fails its checksum on every
+// attempt, so the consumer fails naming the corrupt transfer and never
+// runs on the new bytes.
+func TestDeclaredFileRewrittenFailsStaging(t *testing.T) {
+	m, ws := newCluster(t, 1, 1, WithMaxRetries(1), WithRetryBackoff(time.Millisecond, time.Millisecond))
+	path := t.TempDir() + "/input.txt"
+	if err := writeFileHelper(path, []byte("file content")); err != nil {
+		t.Fatal(err)
+	}
+	cn, err := m.DeclareFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileHelper(path, []byte("file CONTENT")); err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.Submit(Task{
+		Mode: ModeTask, Library: "testlib", Func: "upper",
+		Inputs:  []FileRef{{Name: "in", CacheName: cn}},
+		Outputs: []string{"out"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = h.Wait(10 * time.Second)
+	if err == nil || !strings.Contains(err.Error(), ErrCorruptTransfer.Error()) {
+		t.Fatalf("task on a rewritten declared file: err %v, want the corrupt transfer named", err)
+	}
+	if n := ws[0].Stats().TasksRun; n != 0 {
+		t.Fatalf("worker ran %d tasks on bytes that fail their checksum", n)
+	}
+	if st := m.Stats(); st.CorruptTransfers < 1 {
+		t.Fatalf("CorruptTransfers = %d, want >= 1", st.CorruptTransfers)
 	}
 }
 

@@ -3,6 +3,7 @@ package vine
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"strconv"
 	"time"
 
@@ -171,13 +172,15 @@ func (m *Manager) materializeReplay(rs *ReplayState) (int, error) {
 		switch {
 		case rf.data != nil && int64(len(rf.data)) == rf.size:
 			fs.mgrData = append([]byte(nil), rf.data...)
+			fs.mgrCRC = crc32.Checksum(fs.mgrData, castagnoli)
 			fs.onManager = true
 		case rf.path != "":
 			// Re-verify the path still holds the declared content: the
 			// cachename is a content hash, so a changed file must not be
-			// served under the old name.
-			if name, size, err := fileBlobName(rf.path); err == nil && name == cn && size == rf.size {
-				fs.mgrPath = rf.path
+			// served under the old name. The same read pass yields the
+			// CRC-32C the transfer server sends for it.
+			if name, size, crc, err := fileBlobName(rf.path); err == nil && name == cn && size == rf.size {
+				fs.mgrPath, fs.mgrCRC = rf.path, crc
 				fs.onManager = true
 			}
 		}

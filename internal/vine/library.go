@@ -125,9 +125,8 @@ func (l *Library) buildState() (any, error) {
 
 // Process-wide library registry shared by manager and worker (same binary).
 var (
-	libMu    sync.RWMutex
-	libReg   = make(map[string]*Library)
-	libOrder []string
+	libMu  sync.RWMutex
+	libReg = make(map[string]*Library)
 )
 
 // RegisterLibrary installs a library definition process-wide. Registering a
@@ -138,9 +137,6 @@ func RegisterLibrary(l *Library) error {
 	}
 	libMu.Lock()
 	defer libMu.Unlock()
-	if _, exists := libReg[l.Name]; !exists {
-		libOrder = append(libOrder, l.Name)
-	}
 	libReg[l.Name] = l
 	return nil
 }
@@ -161,15 +157,6 @@ func lookupLibrary(name string) (*Library, error) {
 		return nil, fmt.Errorf("vine: no library registered as %q", name)
 	}
 	return l, nil
-}
-
-// RegisteredLibraries lists library names in registration order.
-func RegisteredLibraries() []string {
-	libMu.RLock()
-	defer libMu.RUnlock()
-	out := make([]string, len(libOrder))
-	copy(out, libOrder)
-	return out
 }
 
 // libraryInstance is a live, possibly-hoisted environment on a worker.

@@ -1,9 +1,9 @@
 package vine
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -427,6 +427,7 @@ type fileState struct {
 	producer   int // task id that produces it; -1 for declared files
 	mgrPath    string
 	mgrData    []byte
+	mgrCRC     uint32        // CRC-32C of the manager's copy, taken when it arrived
 	refWaiters []*taskRecord // staging tasks waiting for this file
 	// External replicas (a foreman's view of a peer-transfer ticket):
 	// addresses outside this manager's own cluster known to serve the
@@ -797,37 +798,41 @@ func (m *Manager) WaitForWorkers(n int, timeout time.Duration) error {
 }
 
 // openCache implements transferSource over the manager's declared files.
-func (m *Manager) openCache(name CacheName) (io.ReadCloser, int64, error) {
+func (m *Manager) openCache(name CacheName) (cacheBody, error) {
 	m.mu.Lock()
 	fs, ok := m.files[name]
 	if !ok || !fs.onManager {
 		m.mu.Unlock()
-		return nil, 0, fmt.Errorf("not on manager: %s", name)
+		return cacheBody{}, fmt.Errorf("not on manager: %s", name)
 	}
-	path, data, size := fs.mgrPath, fs.mgrData, m.reps.Size(string(name))
+	body := cacheBody{data: fs.mgrData, size: int64(len(fs.mgrData)), crc: fs.mgrCRC}
+	path := fs.mgrPath
+	if path != "" {
+		body.size = m.reps.Size(string(name))
+	}
 	m.mu.Unlock()
 	if path != "" {
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, 0, err
+			return cacheBody{}, err
 		}
-		return f, size, nil
+		body.file = f
 	}
-	return io.NopCloser(bytes.NewReader(data)), size, nil
+	return body, nil
 }
 
 // DeclareBuffer registers in-memory data as a cluster file served by the
 // manager. Content-addressed: declaring identical data twice yields the
 // same cachename.
 func (m *Manager) DeclareBuffer(data []byte) CacheName {
-	name := blobName(data)
+	name, crc := blobName(data), crc32.Checksum(data, castagnoli)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if fs, ok := m.files[name]; ok {
 		hadSource := fs.onManager
 		fs.onManager = true
 		if fs.mgrData == nil && fs.mgrPath == "" {
-			fs.mgrData = append([]byte(nil), data...)
+			fs.mgrData, fs.mgrCRC = append([]byte(nil), data...), crc
 			m.reps.SetSize(string(name), int64(len(data)))
 		}
 		if !hadSource {
@@ -839,6 +844,7 @@ func (m *Manager) DeclareBuffer(data []byte) CacheName {
 		onManager: true,
 		producer:  -1,
 		mgrData:   append([]byte(nil), data...),
+		mgrCRC:    crc,
 	}
 	m.files[name] = fs
 	m.reps.SetSize(string(name), int64(len(data)))
@@ -847,9 +853,12 @@ func (m *Manager) DeclareBuffer(data []byte) CacheName {
 }
 
 // DeclareFile registers an on-disk file as a cluster file served by the
-// manager (the staging path for dataset files on shared storage).
+// manager (the staging path for dataset files on shared storage). The
+// file's CRC-32C is taken with its hash and served as the transfer
+// trailer, so a file rewritten after this call fails its checksum on
+// receipt instead of reaching a task under the old name.
 func (m *Manager) DeclareFile(path string) (CacheName, error) {
-	name, size, err := fileBlobName(path)
+	name, size, crc, err := fileBlobName(path)
 	if err != nil {
 		return "", err
 	}
@@ -859,7 +868,7 @@ func (m *Manager) DeclareFile(path string) (CacheName, error) {
 		hadSource := fs.onManager
 		fs.onManager = true
 		if fs.mgrPath == "" && fs.mgrData == nil {
-			fs.mgrPath = path
+			fs.mgrPath, fs.mgrCRC = path, crc
 			m.reps.SetSize(string(name), size)
 		}
 		if !hadSource {
@@ -871,6 +880,7 @@ func (m *Manager) DeclareFile(path string) (CacheName, error) {
 		onManager: true,
 		producer:  -1,
 		mgrPath:   path,
+		mgrCRC:    crc,
 	}
 	m.files[name] = fs
 	m.reps.SetSize(string(name), size)
@@ -2050,7 +2060,8 @@ func (m *Manager) replicateLocked(cn CacheName) {
 // Queue data path). Runs outside the lock; failures are benign — the worker
 // replica remains the source.
 func (m *Manager) pullToManager(addr, worker string, cn CacheName) {
-	data, err := m.nc.fetchBytes(addr, cn, "manager/fetch")
+	data := byteSink{}
+	_, crc, err := m.nc.fetch(addr, cn, &data, "manager/fetch")
 	if err != nil {
 		return
 	}
@@ -2061,7 +2072,7 @@ func (m *Manager) pullToManager(addr, worker string, cn CacheName) {
 		return
 	}
 	fs.onManager = true
-	fs.mgrData = data
+	fs.mgrData, fs.mgrCRC = data, crc
 	size := int64(len(data))
 	m.reps.SetSize(string(cn), size)
 	m.met.managerBytes.Add(size)
@@ -2183,9 +2194,10 @@ func (m *Manager) onTransferDone(wid int, msg *transferDoneMsg) {
 // quarantineReplicaLocked removes a replica that served bytes failing
 // their checksum: the replica table stops counting the copy, and the
 // holder is told to unlink it so the bad bytes can't resurface as a future
-// source. A manager-store source (-1) is left alone — its copy is re-read
-// from disk or memory on the next fetch, so an in-flight corruption clears
-// itself on retry.
+// source. A manager-store source (-1) is left alone: its copy is re-read
+// on the next fetch, so an in-flight corruption clears itself on retry,
+// while a declared file rewritten on disk keeps failing against the CRC
+// taken at declaration until the staging tasks exhaust their retries.
 func (m *Manager) quarantineReplicaLocked(name CacheName, src int) {
 	if src < 0 {
 		return

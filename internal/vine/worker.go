@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -30,7 +29,7 @@ type Worker struct {
 	diskLimit int64
 
 	mu        sync.Mutex
-	cache     map[CacheName]int64 // name → size
+	cache     map[CacheName]cacheEntry
 	cacheUsed int64
 	// LRU eviction state: under disk pressure the worker drops the
 	// least-recently-used unpinned entries and notifies the manager, so
@@ -100,6 +99,15 @@ type Worker struct {
 	rec *obs.Recorder
 	reg *obs.Registry
 	met workerMetrics
+}
+
+// cacheEntry is one cached file: its size and the CRC-32C it had when it
+// entered the cache (a task output, a verified fetch or a scrubbed
+// survivor). Every serve sends that CRC as the transfer trailer, so a file
+// that rots on disk reaches its fetcher as a checksum mismatch.
+type cacheEntry struct {
+	size int64
+	crc  uint32
 }
 
 // workerMetrics holds the worker's registry-backed instruments.
@@ -230,7 +238,7 @@ func NewWorker(addr string, options ...Option) (*Worker, error) {
 		Cores:             opts.Cores,
 		dir:               dir,
 		diskLimit:         opts.DiskLimit,
-		cache:             make(map[CacheName]int64),
+		cache:             make(map[CacheName]cacheEntry),
 		pins:              make(map[CacheName]int),
 		fetching:          make(map[CacheName]chan struct{}),
 		lastUse:           make(map[CacheName]uint64),
@@ -503,13 +511,6 @@ func (w *Worker) Done() <-chan struct{} { return w.doneC }
 // TransferAddr reports the worker's data-plane address.
 func (w *Worker) TransferAddr() string { return w.ts.Addr() }
 
-// CacheUsage reports current cache bytes.
-func (w *Worker) CacheUsage() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cacheUsed
-}
-
 // CacheNames lists cached entries, sorted, for tests.
 func (w *Worker) CacheNames() []CacheName {
 	w.mu.Lock()
@@ -552,21 +553,21 @@ func (w *Worker) LibrarySetupCount(name string) int {
 }
 
 // openCache implements transferSource.
-func (w *Worker) openCache(name CacheName) (io.ReadCloser, int64, error) {
+func (w *Worker) openCache(name CacheName) (cacheBody, error) {
 	w.mu.Lock()
-	size, ok := w.cache[name]
+	e, ok := w.cache[name]
 	if ok {
 		w.touchLocked(name)
 	}
 	w.mu.Unlock()
 	if !ok {
-		return nil, 0, fmt.Errorf("not cached: %s", name)
+		return cacheBody{}, fmt.Errorf("not cached: %s", name)
 	}
 	f, err := os.Open(w.cachePath(name))
 	if err != nil {
-		return nil, 0, err
+		return cacheBody{}, err
 	}
-	return f, size, nil
+	return cacheBody{file: f, size: e.size, crc: e.crc}, nil
 }
 
 func (w *Worker) cachePath(name CacheName) string {
@@ -611,7 +612,7 @@ func (w *Worker) evictForLocked(size int64) []evictedFile {
 		if !found {
 			break
 		}
-		sz := w.cache[oldest]
+		sz := w.cache[oldest].size
 		delete(w.cache, oldest)
 		delete(w.lastUse, oldest)
 		w.cacheUsed -= sz
@@ -641,8 +642,9 @@ func (w *Worker) finishEvictions(victims []evictedFile) {
 // disk limit, LRU-evicts unpinned entries to make room; only when that
 // still cannot fit the file does it fail. pin holds the new entry
 // against eviction until unpin — tasks pin their outputs until the
-// result is reported. crc is the payload's CRC-32C, recorded in the
-// persistent index so a restart can verify the entry.
+// result is reported. crc is the payload's CRC-32C: served as the
+// transfer trailer and recorded in the persistent index so a restart can
+// verify the entry.
 func (w *Worker) addToCache(name CacheName, size int64, pin bool, crc uint32) error {
 	w.mu.Lock()
 	if _, dup := w.cache[name]; dup {
@@ -662,7 +664,7 @@ func (w *Worker) addToCache(name CacheName, size int64, pin bool, crc uint32) er
 			return fmt.Errorf("vine: worker %s cache full: %d + %d > %d", w.Name, w.cacheUsed, size, w.diskLimit)
 		}
 	}
-	w.cache[name] = size
+	w.cache[name] = cacheEntry{size: size, crc: crc}
 	w.cacheUsed += size
 	w.touchLocked(name)
 	if pin {
@@ -691,7 +693,8 @@ func (w *Worker) unpin(names []CacheName) {
 
 func (w *Worker) removeFromCache(name CacheName) {
 	w.mu.Lock()
-	size, ok := w.cache[name]
+	e, ok := w.cache[name]
+	size := e.size
 	if ok {
 		delete(w.cache, name)
 		delete(w.lastUse, name)

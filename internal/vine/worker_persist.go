@@ -175,7 +175,7 @@ func (w *Worker) scrubCache() ([]inventoryEntry, error) {
 				Detail: fmt.Sprintf("scrub dropped %s (size %d vs %d indexed)", name, size, l.Size)})
 			continue
 		}
-		w.cache[name] = size
+		w.cache[name] = cacheEntry{size: size, crc: crc}
 		w.cacheUsed += size
 		if w.orphanTTL > 0 {
 			w.orphans[name] = deadline
@@ -202,9 +202,8 @@ func (w *Worker) scrubCache() ([]inventoryEntry, error) {
 		return nil, err
 	}
 	bw := bufio.NewWriter(f)
-	for name, size := range w.cache {
-		crc := idx[name].CRC
-		data, _ := json.Marshal(indexLine{Name: string(name), Size: size, CRC: crc})
+	for name, e := range w.cache {
+		data, _ := json.Marshal(indexLine{Name: string(name), Size: e.size, CRC: e.crc})
 		bw.Write(append(data, '\n'))
 	}
 	werr := bw.Flush()
@@ -229,8 +228,8 @@ func (w *Worker) scrubCache() ([]inventoryEntry, error) {
 // (requires w.mu).
 func (w *Worker) inventoryLocked() []inventoryEntry {
 	inv := make([]inventoryEntry, 0, len(w.cache))
-	for name, size := range w.cache {
-		inv = append(inv, inventoryEntry{CacheName: string(name), Size: size})
+	for name, e := range w.cache {
+		inv = append(inv, inventoryEntry{CacheName: string(name), Size: e.size})
 	}
 	sort.Slice(inv, func(i, j int) bool { return inv[i].CacheName < inv[j].CacheName })
 	return inv
@@ -245,14 +244,6 @@ func (w *Worker) onInventoryAck(ack *inventoryAckMsg) {
 		delete(w.orphans, CacheName(name))
 	}
 	w.mu.Unlock()
-}
-
-// Orphans reports how many scrubbed cache entries are still unclaimed by
-// any manager (tests and diagnostics).
-func (w *Worker) Orphans() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.orphans)
 }
 
 // orphanGC ages out cache entries no manager ever claimed. Pinned entries
@@ -284,11 +275,11 @@ func (w *Worker) orphanGC() {
 				w.orphans[name] = now.Add(w.orphanTTL)
 				continue
 			}
-			if size, ok := w.cache[name]; ok {
+			if e, ok := w.cache[name]; ok {
 				delete(w.cache, name)
 				delete(w.lastUse, name)
-				w.cacheUsed -= size
-				victims = append(victims, evictedFile{name: name, size: size})
+				w.cacheUsed -= e.size
+				victims = append(victims, evictedFile{name: name, size: e.size})
 			}
 			delete(w.orphans, name)
 		}
