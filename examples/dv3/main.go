@@ -2,9 +2,12 @@
 // Higgs → bb̄ decays in jet data — run end-to-end on the live TaskVine
 // engine, then validated bin-for-bin against a single-threaded local run.
 //
-// Exercises the full data path: dataset files declared to the manager, chunk
-// replicas flowing to workers (peer transfers on), real columnar selection
-// kernels inside serverless function calls, and hierarchical accumulation.
+// Exercises the paper's TaskVine data path: dataset files on shared storage,
+// declared by stat and read in place by every task (no dataset byte crosses
+// a socket), real columnar selection kernels inside serverless function
+// calls, and hierarchical accumulation whose partial histograms move
+// worker to worker by peer transfer. Exits non-zero if the distributed
+// histograms differ from the serial run in any bin.
 //
 //	go run ./examples/dv3 [-workers 4] [-cores 4] [-files 6] [-events 10000]
 package main
@@ -15,6 +18,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"strings"
 	"time"
 
 	"hepvine/internal/apps"
@@ -95,6 +99,22 @@ func run(workers, cores, nFiles, events int) error {
 	}
 	if err := mgr.WaitForWorkers(workers, 5*time.Second); err != nil {
 		return err
+	}
+	// Files written moments ago are inside the racy window (DESIGN §5),
+	// where a stat cannot stand for their content and DeclareSharedFile
+	// hashes them instead. The paper's datasets were staged long before the
+	// analysis ran; let these settle the same way.
+	for _, p := range paths {
+		for {
+			cn, err := mgr.DeclareSharedFile(p)
+			if err != nil {
+				return err
+			}
+			if strings.HasPrefix(string(cn), "shared:") {
+				break
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
 	}
 
 	start := time.Now()

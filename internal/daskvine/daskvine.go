@@ -4,20 +4,21 @@
 // TaskVine scheduler".
 //
 // A coffea analysis graph (ProcessSpec / AccumSpec payloads) is lowered to
-// vine tasks: dataset files are declared to the manager once and flow to
-// workers through the cache (and peer transfers), processor tasks read
-// their chunk from the worker-local replica, and accumulation tasks merge
-// HistSet blobs that never leave the cluster until the root result is
-// fetched.
+// vine tasks: dataset files are declared as shared-storage files, which
+// costs the manager one stat each, and processor tasks read their chunk in
+// place from that storage, as the paper's tasks read their datasets from
+// HDFS and VAST (§IV.A). A worker that cannot see the path gets the file by
+// transfer instead. Accumulation tasks merge HistSet blobs that move
+// between workers by peer transfer and never leave the cluster until the
+// root result is fetched.
 package daskvine
 
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
+	"path/filepath"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hepvine/internal/coffea"
@@ -59,8 +60,8 @@ func NewLibrary(setupDelay time.Duration) *vine.Library {
 	}
 }
 
-// processFunc runs a registered coffea processor over one chunk whose file
-// content is the task input "data".
+// processFunc runs a registered coffea processor over one chunk of the
+// file that is the task input "data".
 func processFunc(c *vine.Call) error {
 	if st, ok := c.State().(*libState); !ok || !st.ready {
 		return fmt.Errorf("daskvine: library state not initialized")
@@ -138,21 +139,9 @@ func Run(m *vine.Manager, g *dag.Graph, root dag.Key, opts Options) (*coffea.His
 		return nil, fmt.Errorf("daskvine: root %q not in graph", root)
 	}
 
-	// Declare every dataset file once, hashing them in parallel in
-	// first-use order; identical paths share a cachename. The submit loop
-	// waits only for the file it is about to use, so hashing overlaps
-	// dispatch and transfer of the files declared before it.
-	var paths []string
-	seen := make(map[string]bool)
-	for _, k := range g.Topo() {
-		if ps, ok := g.Task(k).Spec.(*coffea.ProcessSpec); ok && !seen[ps.Chunk.Path] {
-			seen[ps.Chunk.Path] = true
-			paths = append(paths, ps.Chunk.Path)
-		}
-	}
-	decls := declareFiles(m, paths)
-	defer decls.close()
-
+	// Each dataset file is declared once, on first use; identical paths
+	// share a cachename.
+	decls := make(map[string]vine.CacheName)
 	// Submit in topological order so every input cachename is known.
 	handles := make(map[dag.Key]*vine.TaskHandle, g.Len())
 	// Every OnTaskDone for a node that completed before Run returns is
@@ -169,9 +158,16 @@ func Run(m *vine.Manager, g *dag.Graph, root dag.Key, opts Options) (*coffea.His
 		var vt vine.Task
 		switch spec := task.Spec.(type) {
 		case *coffea.ProcessSpec:
-			cn, err := decls.get(spec.Chunk.Path)
-			if err != nil {
-				return nil, fmt.Errorf("daskvine: declaring %s: %w", spec.Chunk.Path, err)
+			cn, ok := decls[spec.Chunk.Path]
+			if !ok {
+				abs, err := filepath.Abs(spec.Chunk.Path)
+				if err == nil {
+					cn, err = m.DeclareSharedFile(abs)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("daskvine: declaring %s: %w", spec.Chunk.Path, err)
+				}
+				decls[spec.Chunk.Path] = cn
 			}
 			args, err := json.Marshal(procArgs{
 				Processor: spec.Processor,
@@ -219,11 +215,12 @@ func Run(m *vine.Manager, g *dag.Graph, root dag.Key, opts Options) (*coffea.His
 			Detail: "vine:" + strconv.Itoa(h.ID),
 		})
 		// Resubmission is idempotent against a journal-resumed manager:
-		// dataset declarations and task definition hashes are both
-		// content-addressed, so a node that already completed in a prior
-		// incarnation dedupes to its done handle and the run skips straight
-		// to whatever merge work is genuinely missing. Surface the join
-		// between the dag key and the warm decision in the graph trace.
+		// dataset declarations keep their names while the files are
+		// unchanged, and task definition hashes are content-addressed, so
+		// a node that already completed in a prior incarnation dedupes to
+		// its done handle and the run skips straight to whatever merge work
+		// is genuinely missing. Surface the join between the dag key and
+		// the warm decision in the graph trace.
 		if h.WarmHit() {
 			opts.Recorder.Emit(obs.Event{
 				Type: obs.EvWarmHit, Task: string(k),
@@ -263,57 +260,4 @@ func Run(m *vine.Manager, g *dag.Graph, root dag.Key, opts Options) (*coffea.His
 		return nil, fmt.Errorf("daskvine: fetching result: %w", err)
 	}
 	return coffea.UnmarshalHistSet(blob)
-}
-
-// declared is the future of one dataset file's declaration.
-type declared struct {
-	done chan struct{}
-	cn   vine.CacheName
-	err  error
-}
-
-// declarer hashes and declares dataset files on min(GOMAXPROCS, files)
-// goroutines, taking them in the order given.
-type declarer struct {
-	files map[string]*declared
-	stop  atomic.Bool
-	wg    sync.WaitGroup
-}
-
-func declareFiles(m *vine.Manager, paths []string) *declarer {
-	d := &declarer{files: make(map[string]*declared, len(paths))}
-	for _, p := range paths {
-		d.files[p] = &declared{done: make(chan struct{})}
-	}
-	var next atomic.Int64
-	n := min(runtime.GOMAXPROCS(0), len(paths))
-	d.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer d.wg.Done()
-			for !d.stop.Load() {
-				k := int(next.Add(1)) - 1
-				if k >= len(paths) {
-					return
-				}
-				f := d.files[paths[k]]
-				f.cn, f.err = m.DeclareFile(paths[k])
-				close(f.done)
-			}
-		}()
-	}
-	return d
-}
-
-// get waits for path's declaration.
-func (d *declarer) get(path string) (vine.CacheName, error) {
-	f := d.files[path]
-	<-f.done
-	return f.cn, f.err
-}
-
-// close stops the hashers taking more files and waits for them to exit.
-func (d *declarer) close() {
-	d.stop.Store(true)
-	d.wg.Wait()
 }

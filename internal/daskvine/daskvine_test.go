@@ -5,15 +5,14 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
-	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hepvine/internal/apps"
 	"hepvine/internal/coffea"
 	"hepvine/internal/dag"
 	"hepvine/internal/hist"
@@ -314,53 +313,101 @@ func TestRunValidation(t *testing.T) {
 	_ = root
 }
 
-// hashers counts goroutines still inside Manager.DeclareFile. A hasher
-// that has signalled its WaitGroup may not have exited yet, but it is past
-// its last DeclareFile call.
-func hashers() int {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	return strings.Count(string(buf), "vine.(*Manager).DeclareFile(")
-}
-
-// TestRunMissingFileStopsHashers: when dataset file k is missing, Run
-// returns that file's DeclareFile error, and every hashing goroutine has
-// exited by the time it does, even those still hashing the large files
-// after k.
-func TestRunMissingFileStopsHashers(t *testing.T) {
+// TestRunMissingFileFails: when one dataset file is missing, Run fails
+// with that path's error.
+func TestRunMissingFileFails(t *testing.T) {
 	chunks := setup(t)
-	dir := t.TempDir()
-	missing := filepath.Join(dir, "missing.root")
-	big := make([]byte, 8<<20)
-	var mixed []coffea.Chunk
-	for i := 0; i < 6; i++ {
-		c := chunks[i]
-		switch {
-		case i == 1:
-			c.Path = missing
-		case i > 1:
-			c.Path = filepath.Join(dir, fmt.Sprintf("big%d.root", i))
-			big[0] = byte(i)
-			if err := os.WriteFile(c.Path, big, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mixed = append(mixed, c)
-	}
+	missing := filepath.Join(t.TempDir(), "missing.root")
+	mixed := append([]coffea.Chunk(nil), chunks[:4]...)
+	mixed[1].Path = missing
 	g, root, err := coffea.BuildGraph("dv-test", mixed, coffea.GraphOptions{FanIn: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := cluster(t, 0, 1)
-	if n := hashers(); n != 0 {
-		t.Fatalf("%d hashers alive before Run", n)
-	}
 	_, err = Run(m, g, root, Options{Timeout: 10 * time.Second})
-	if n := hashers(); n != 0 {
-		t.Fatalf("%d hashers outlived Run", n)
-	}
 	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), missing) {
-		t.Fatalf("Run error = %v, want the DeclareFile error for %s", err, missing)
+		t.Fatalf("Run error = %v, want the stat error for %s", err, missing)
+	}
+}
+
+// settled declares paths as shared files until each gets a shared: name,
+// that is, until every file is past the racy window of its write.
+func settled(t *testing.T, m *vine.Manager, paths []string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, p := range paths {
+		for {
+			cn, err := m.DeclareSharedFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(string(cn), "shared:") {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s still declared as %s", p, cn)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// A dv3-shaped run (the DV3 processor over a seeded dataset, 4-way tree
+// reduce, two single-core workers with peer transfers) reads every dataset
+// file in place: no dataset byte crosses a socket, and the result matches
+// the serial run bin for bin.
+func TestRunReadsDatasetInPlace(t *testing.T) {
+	setup(t)
+	apps.RegisterProcessors()
+	paths, err := rootio.WriteDataset(t.TempDir(), rootio.DatasetSpec{
+		Name: "JetHT", Files: 3, EventsPerFile: 2000,
+		Gen: rootio.GenOptions{Seed: 3, MeanJets: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos := make([]coffea.FileInfo, len(paths))
+	for i, p := range paths {
+		infos[i] = coffea.FileInfo{Path: p, NEvents: 2000}
+	}
+	chunks, err := coffea.Partition("JetHT", infos, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, root, err := coffea.BuildGraph("dv3", chunks, coffea.GraphOptions{FanIn: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	m := cluster(t, 2, 1, vine.WithRecorder(rec))
+	settled(t, m, paths)
+	got, err := Run(m, g, root, Options{Timeout: 60 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := coffea.RunLocal(apps.DV3Processor{}, chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range want.Names() {
+		w, h := want.H[n], got.H[n]
+		if h == nil || len(h.Counts) != len(w.Counts) {
+			t.Fatalf("histogram %s missing or reshaped", n)
+		}
+		for i := range w.Counts {
+			if w.Counts[i] != h.Counts[i] {
+				t.Fatalf("%s bin %d: %g, serial %g", n, i, h.Counts[i], w.Counts[i])
+			}
+		}
+	}
+	if st := m.Stats(); st.ManagerTransfers != 0 || st.ManagerBytes != 0 {
+		t.Fatalf("%d manager transfers of %d bytes, want none", st.ManagerTransfers, st.ManagerBytes)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Type == obs.EvTransferStart && !strings.HasPrefix(ev.Detail, "out:") {
+			t.Fatalf("dataset file moved: %+v", ev)
+		}
 	}
 }
 

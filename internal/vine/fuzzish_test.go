@@ -164,10 +164,14 @@ func frameSeeds() []*message {
 		{Type: msgDispatch, Dispatch: &dispatchMsg{TaskID: -1, Args: []byte{}, Inputs: []fileRefWire{},
 			Outputs: []fileRefWire{{}}, Cores: -2, Memory: -3}},
 		{Type: msgDispatch, Dispatch: &dispatchMsg{}},
+		{Type: msgDispatch, Dispatch: &dispatchMsg{TaskID: 9, Mode: string(ModeFunctionCall), Library: "lib", Func: "fn",
+			Inputs:  []fileRefWire{{Name: "data", CacheName: "shared:ab", Path: "/data/a.root"}, {Name: "in", CacheName: "blob:ab"}},
+			Outputs: []fileRefWire{{Name: "out", CacheName: "task:cd:out"}}, Cores: 1}},
 		{Type: msgTaskDone, TaskDone: &taskDoneMsg{TaskID: 7, OK: true, Error: "e",
 			OutputSizes: map[string]int64{"task:cd:out": 12, "task:cd:hist": -1, "": 0}, ExecNanos: 1500, SetupNanos: 20}},
 		{Type: msgTaskDone, TaskDone: &taskDoneMsg{TaskID: 1 << 40, OutputSizes: map[string]int64{}, ExecNanos: -1}},
 		{Type: msgTaskDone, TaskDone: &taskDoneMsg{}},
+		{Type: msgTaskDone, TaskDone: &taskDoneMsg{TaskID: 9, Error: "shared input changed", ExecNanos: 3, Stale: "shared:ab"}},
 		{Type: msgPutURL, PutURL: &putURLMsg{CacheName: "blob:ab", Addr: "127.0.0.1:9", Size: 3}},
 		{Type: msgTransferDone, TransferDone: &transferDoneMsg{CacheName: "blob:ab", OK: false, Error: "crc", Size: 3, Corrupt: true}},
 		{Type: msgLibrary, Library: &libraryMsg{Name: "lib", Hoist: true}},

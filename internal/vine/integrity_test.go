@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hepvine/internal/journal"
 	"hepvine/internal/obs"
 )
 
@@ -179,9 +180,15 @@ func TestRotAtRestCaughtOnReceipt(t *testing.T) {
 // A declared file rewritten after DeclareFile no longer matches the
 // cachename its hash gave it. Staging it fails its checksum on every
 // attempt, so the consumer fails naming the corrupt transfer and never
-// runs on the new bytes.
+// runs on the new bytes. It fails exactly once: one task_fail event and
+// one KindTaskFail journal record, however many staging attempts failed.
 func TestDeclaredFileRewrittenFailsStaging(t *testing.T) {
-	m, ws := newCluster(t, 1, 1, WithMaxRetries(1), WithRetryBackoff(time.Millisecond, time.Millisecond))
+	rec := obs.NewRecorder()
+	dir := t.TempDir()
+	jr := openJournal(t, dir)
+	defer jr.Close()
+	m, ws := newCluster(t, 1, 1, WithMaxRetries(1), WithRetryBackoff(time.Millisecond, time.Millisecond),
+		WithRecorder(rec), WithJournal(jr))
 	path := t.TempDir() + "/input.txt"
 	if err := writeFileHelper(path, []byte("file content")); err != nil {
 		t.Fatal(err)
@@ -210,6 +217,29 @@ func TestDeclaredFileRewrittenFailsStaging(t *testing.T) {
 	}
 	if st := m.Stats(); st.CorruptTransfers < 1 {
 		t.Fatalf("CorruptTransfers = %d, want >= 1", st.CorruptTransfers)
+	}
+	// Stop waits out the handler that closed the handle and syncs the
+	// journal, so both counts below are final.
+	m.Stop()
+	fails := 0
+	for _, ev := range rec.Events() {
+		if ev.Type == obs.EvTaskFail {
+			fails++
+		}
+	}
+	if st := m.Stats(); fails != 1 || st.TasksFailed != 1 {
+		t.Fatalf("%d task_fail events and TasksFailed %d, want 1 of each", fails, st.TasksFailed)
+	}
+	journalFails := 0
+	if _, err := jr.Replay(func(r journal.Record) {
+		if r.Kind == journal.KindTaskFail {
+			journalFails++
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if journalFails != 1 {
+		t.Fatalf("%d KindTaskFail journal records, want 1", journalFails)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"strconv"
 	"time"
 
@@ -31,7 +32,9 @@ import (
 //   - Declared files are re-declared if their backing path still hashes to
 //     the same cachename (buffers ride inline in the record); otherwise the
 //     entry exists without a manager source and consumers fall back to
-//     worker replicas or lineage recovery.
+//     worker replicas or lineage recovery. A shared file is checked
+//     by stat instead of re-hashed; one whose identity changed is dropped the same
+//     way, and a task that needs it fails with ErrSharedFileChanged.
 //   - Terminally failed tasks are forgotten, so a resubmission retries
 //     them fresh.
 
@@ -174,14 +177,24 @@ func (m *Manager) materializeReplay(rs *ReplayState) (int, error) {
 			fs.mgrData = append([]byte(nil), rf.data...)
 			fs.mgrCRC = crc32.Checksum(fs.mgrData, castagnoli)
 			fs.onManager = true
+		case rf.path != "" && cn.isShared():
+			// A shared file is checked by stat, not re-hashed: it keeps its
+			// source only while its identity still gives the same name.
+			fs.mgrPath = rf.path
+			fs.onManager = sharedIntact(cn, rf.path)
 		case rf.path != "":
 			// Re-verify the path still holds the declared content: the
 			// cachename is a content hash, so a changed file must not be
 			// served under the old name. The same read pass yields the
 			// CRC-32C the transfer server sends for it.
+			now := sharedNow()
+			before, statErr := os.Stat(rf.path)
 			if name, size, crc, err := fileBlobName(rf.path); err == nil && name == cn && size == rf.size {
 				fs.mgrPath, fs.mgrCRC = rf.path, crc
 				fs.onManager = true
+				if statErr == nil {
+					m.noteReplayedPath(rf.path, cn, before, now)
+				}
 			}
 		}
 		m.files[cn] = fs

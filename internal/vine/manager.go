@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -429,6 +430,11 @@ type fileState struct {
 	mgrData    []byte
 	mgrCRC     uint32        // CRC-32C of the manager's copy, taken when it arrived
 	refWaiters []*taskRecord // staging tasks waiting for this file
+	// A shared-storage file (DeclareSharedFile) is read in place at
+	// mgrPath. Its CRC is taken on the first serve to a worker that
+	// cannot see the mount (crcOK); noMount lists those workers by id.
+	crcOK   bool
+	noMount map[int]bool
 	// External replicas (a foreman's view of a peer-transfer ticket):
 	// addresses outside this manager's own cluster known to serve the
 	// file. ext rotates on staging retries; extBad holds addresses
@@ -525,6 +531,10 @@ type Manager struct {
 	// tasks by definition hash for the warm Submit path.
 	jr       *journal.Journal
 	replayed map[string]*taskRecord
+	// replayedPaths indexes replayed blob: declarations by path, so a
+	// resumed DeclareSharedFile keeps the name the journal gave a file
+	// (see keepReplayedName).
+	replayedPaths map[string]replayedPath
 
 	// Service hooks (see service.go). live indexes every task submitted in
 	// this incarnation by definition hash, so SubmitShared can dedupe a
@@ -623,6 +633,7 @@ func NewManager(options ...Option) (*Manager, error) {
 		start:           time.Now(),
 		jr:              c.jr,
 		replayed:        make(map[string]*taskRecord),
+		replayedPaths:   make(map[string]replayedPath),
 		live:            make(map[string]*taskRecord),
 		lease:           c.lease,
 		preState:        c.replayState,
@@ -805,6 +816,10 @@ func (m *Manager) openCache(name CacheName) (cacheBody, error) {
 		m.mu.Unlock()
 		return cacheBody{}, fmt.Errorf("not on manager: %s", name)
 	}
+	if name.isShared() {
+		m.mu.Unlock()
+		return m.openShared(name, fs)
+	}
 	body := cacheBody{data: fs.mgrData, size: int64(len(fs.mgrData)), crc: fs.mgrCRC}
 	path := fs.mgrPath
 	if path != "" {
@@ -853,7 +868,8 @@ func (m *Manager) DeclareBuffer(data []byte) CacheName {
 }
 
 // DeclareFile registers an on-disk file as a cluster file served by the
-// manager (the staging path for dataset files on shared storage). The
+// manager: the Work Queue data path, where the manager hashes the file and
+// every worker receives a copy (DeclareSharedFile reads it in place). The
 // file's CRC-32C is taken with its hash and served as the transfer
 // trailer, so a file rewritten after this call fails its checksum on
 // receipt instead of reaching a task under the old name.
@@ -1479,7 +1495,7 @@ func (m *Manager) assignLocked(rec *taskRecord, a sched.Assignment) {
 	}
 	rec.pending = make(map[CacheName]bool)
 	for _, in := range rec.spec.Inputs {
-		if !m.reps.Holds(string(in.CacheName), wid) {
+		if !m.reps.Holds(string(in.CacheName), wid) && !m.inPlaceLocked(in.CacheName, wid) {
 			rec.pending[in.CacheName] = true
 		}
 	}
@@ -1489,10 +1505,24 @@ func (m *Manager) assignLocked(rec *taskRecord, a sched.Assignment) {
 	}
 	m.setTaskState(rec, TaskStaging)
 	for name := range rec.pending {
-		fs := m.files[name]
-		fs.refWaiters = append(fs.refWaiters, rec)
+		m.files[name].addWaiter(rec)
 		m.queueTransferLocked(name, wid)
 	}
+}
+
+// addWaiter registers rec as staging this file. A task is listed at most
+// once, so a failed transfer retries it once.
+func (fs *fileState) addWaiter(rec *taskRecord) {
+	if !slices.Contains(fs.refWaiters, rec) {
+		fs.refWaiters = append(fs.refWaiters, rec)
+	}
+}
+
+// dropWaiters unlists tasks that no longer wait for this file.
+func (fs *fileState) dropWaiters(recs []*taskRecord) {
+	fs.refWaiters = slices.DeleteFunc(fs.refWaiters, func(r *taskRecord) bool {
+		return slices.Contains(recs, r)
+	})
 }
 
 // queueTransferLocked picks a source for name→dest and either issues the
@@ -1607,10 +1637,15 @@ func (m *Manager) pumpTransfersLocked() {
 				// revives the producer (lineage rollback) and restages
 				// once the file regenerates.
 				m.reps.RemoveInflight(string(tx.name), tx.dest)
+				var victims []*taskRecord
 				for _, rec := range fs.refWaiters {
 					if rec.worker == tx.dest && rec.state == TaskStaging && rec.pending[tx.name] {
-						m.retryLocked(rec, fmt.Errorf("staging %s: no live replica", tx.name))
+						victims = append(victims, rec)
 					}
+				}
+				fs.dropWaiters(victims)
+				for _, rec := range victims {
+					m.retryLocked(rec, fmt.Errorf("staging %s: no live replica", tx.name))
 				}
 				continue
 			}
@@ -1686,7 +1721,11 @@ func (m *Manager) dispatchLocked(rec *taskRecord) {
 		Memory:  rec.spec.Memory,
 	}
 	for _, in := range rec.spec.Inputs {
-		d.Inputs = append(d.Inputs, fileRefWire{Name: in.Name, CacheName: string(in.CacheName)})
+		ref := fileRefWire{Name: in.Name, CacheName: string(in.CacheName)}
+		if m.inPlaceLocked(in.CacheName, rec.worker) {
+			ref.Path = m.files[in.CacheName].mgrPath
+		}
+		d.Inputs = append(d.Inputs, ref)
 	}
 	for _, out := range rec.spec.Outputs {
 		d.Outputs = append(d.Outputs, fileRefWire{Name: out, CacheName: string(rec.handle.outputs[out])})
@@ -1893,6 +1932,11 @@ func (m *Manager) reviveProducersLocked(rec *taskRecord) {
 				m.failLocked(rec, fmt.Errorf("vine: external input %s lost (sources exhausted)", in.CacheName))
 				return
 			}
+			if fs != nil && in.CacheName.isShared() {
+				// A shared file loses its source only by changing.
+				m.failLocked(rec, sharedChangedErr(in.CacheName, fs))
+				return
+			}
 			continue // declared file with no source: unrecoverable here
 		}
 		if m.tasks[fs.producer] == nil {
@@ -1949,7 +1993,11 @@ func (m *Manager) onTaskDoneLocked(wid int, msg *taskDoneMsg) {
 			delete(rec.stragglers, wid)
 			return
 		}
-		m.retryLocked(rec, fmt.Errorf("%s", msg.Error))
+		if msg.Stale != "" {
+			m.sharedStaleLocked(rec, wid, CacheName(msg.Stale), msg.Error)
+		} else {
+			m.retryLocked(rec, fmt.Errorf("%s", msg.Error))
+		}
 		m.scheduleLocked()
 		return
 	}
@@ -2167,6 +2215,15 @@ func (m *Manager) onTransferDone(wid int, msg *transferDoneMsg) {
 				m.quarantineReplicaLocked(name, srcID)
 			}
 		}
+		if fs != nil && name.isShared() && srcID < 0 && fs.onManager && !sharedIntact(name, fs.mgrPath) {
+			// The manager could not serve its copy of a shared file as
+			// named: it changed at the source.
+			m.reps.RemoveInflight(string(name), wid)
+			m.sharedChangedLocked(name, fs)
+			m.pumpTransfersLocked()
+			m.scheduleLocked()
+			return
+		}
 		var victims []*taskRecord
 		if fs != nil {
 			for _, rec := range fs.refWaiters {
@@ -2182,6 +2239,9 @@ func (m *Manager) onTransferDone(wid int, msg *transferDoneMsg) {
 			})
 		} else {
 			m.reps.RemoveInflight(string(name), wid)
+			if fs != nil {
+				fs.dropWaiters(victims)
+			}
 			for _, rec := range victims {
 				m.retryLocked(rec, fmt.Errorf("staging %s: %s", name, msg.Error))
 			}
@@ -2234,7 +2294,7 @@ func (m *Manager) onEvicted(wid int, msg *evictedMsg) {
 		for _, in := range rec.spec.Inputs {
 			if in.CacheName == name {
 				rec.pending[name] = true
-				fs.refWaiters = append(fs.refWaiters, rec)
+				fs.addWaiter(rec)
 				m.queueTransferLocked(name, wid)
 				break
 			}

@@ -117,10 +117,14 @@ type inventoryAckMsg struct {
 	Known []string `json:"known,omitempty"`
 }
 
-// fileRefWire names one task input within the task sandbox.
+// fileRefWire names one task input within the task sandbox. Path is set
+// for an input the worker reads in place from shared storage
+// (DeclareSharedFile): the worker checks that the path's stat identity
+// still hashes to CacheName before and after the call.
 type fileRefWire struct {
 	Name      string `json:"name"`
 	CacheName string `json:"cachename"`
+	Path      string `json:"path,omitempty"`
 }
 
 // dispatchMsg carries one task or function invocation to a worker.
@@ -137,7 +141,9 @@ type dispatchMsg struct {
 }
 
 // taskDoneMsg reports execution results. Output sizes let the manager track
-// cache consumption without another round trip.
+// cache consumption without another round trip. Stale is the typed cause
+// of a discarded result: the cachename of a shared input whose path was
+// missing, or no longer matched its name, before or after the call.
 type taskDoneMsg struct {
 	TaskID      int              `json:"task_id"`
 	OK          bool             `json:"ok"`
@@ -145,6 +151,7 @@ type taskDoneMsg struct {
 	OutputSizes map[string]int64 `json:"output_sizes,omitempty"` // cachename → bytes
 	ExecNanos   int64            `json:"exec_nanos"`
 	SetupNanos  int64            `json:"setup_nanos"`
+	Stale       string           `json:"stale,omitempty"`
 }
 
 // putURLMsg instructs a worker to fetch a file into its cache from a peer's

@@ -29,7 +29,9 @@ import (
 // The CRC-32C is a property of the cache entry, not of the send: it is
 // computed once, when the bytes enter a cache (a worker's task output or
 // verified fetch, a manager's DeclareBuffer/DeclareFile or journal
-// replay), and stored beside the entry. The server never re-reads the
+// replay), and stored beside the entry. A shared-storage file is read in
+// place and needs none, except on its first serve to a worker that cannot
+// see the mount (openShared). The server never re-reads the
 // body to checksum it, so an on-disk entry goes out through the kernel's
 // sendfile path (file to socket, no userspace copy) and an in-memory one
 // in a single vectored write, each followed by the stored trailer. The
@@ -39,29 +41,24 @@ import (
 // were stored, a file that rots at rest — or a declared file rewritten
 // after its declaration — is caught on receipt too.
 
-// netConfig is the dial/IO policy threaded through the data plane: how
-// long a dial may take, how long one whole exchange may take, and an
-// optional fault-injection layer under every conn.
+// netConfig is the IO policy threaded through the data plane: how long one
+// whole exchange may take, and an optional fault-injection layer under
+// every conn. Every dial is bounded by defaultDialTimeout.
 type netConfig struct {
-	dialTimeout time.Duration
-	ioTimeout   time.Duration
-	inject      NetFaultInjector
+	ioTimeout time.Duration
+	inject    NetFaultInjector
 }
 
 // defaultNetConfig matches the historical hardcoded policy.
 func defaultNetConfig() netConfig {
-	return netConfig{dialTimeout: defaultDialTimeout, ioTimeout: defaultTransferTimeout}
+	return netConfig{ioTimeout: defaultTransferTimeout}
 }
 
 // dial opens an outbound connection under the configured timeout and
 // fault-injection layer. label names the connection's role for targeted
 // fault matching (e.g. "w0/fetch", "manager/control").
 func (nc netConfig) dial(addr, label string) (net.Conn, error) {
-	to := nc.dialTimeout
-	if to <= 0 {
-		to = defaultDialTimeout
-	}
-	c, err := net.DialTimeout("tcp", addr, to)
+	c, err := net.DialTimeout("tcp", addr, defaultDialTimeout)
 	if err != nil {
 		return nil, err
 	}

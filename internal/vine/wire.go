@@ -15,9 +15,10 @@ import (
 // with '{' no other flag is needed. Every other frame type stays JSON.
 //
 // Layout after the tag, in the internal/wire encoding: ints are varints;
-// strings and Args are a uvarint length and the bytes; Inputs, Outputs and
-// OutputSizes are a uvarint count and then their pairs, OutputSizes sorted
-// by key so the encoding is canonical. Fields appear in struct order.
+// strings and Args are a uvarint length and the bytes; Inputs and Outputs
+// are a uvarint count and then (name, cachename, path) triples;
+// OutputSizes is a uvarint count and its pairs sorted by key so the
+// encoding is canonical. Fields appear in struct order.
 const (
 	tagDispatch byte = 1
 	tagTaskDone byte = 2
@@ -73,7 +74,8 @@ func appendTaskDone(b []byte, t *taskDoneMsg) []byte {
 	b = wire.AppendStr(b, t.Error)
 	b = wire.AppendMap(b, t.OutputSizes, binary.AppendVarint)
 	b = binary.AppendVarint(b, t.ExecNanos)
-	return binary.AppendVarint(b, t.SetupNanos)
+	b = binary.AppendVarint(b, t.SetupNanos)
+	return wire.AppendStr(b, t.Stale)
 }
 
 func appendRefs(b []byte, refs []fileRefWire) []byte {
@@ -81,6 +83,7 @@ func appendRefs(b []byte, refs []fileRefWire) []byte {
 	for _, r := range refs {
 		b = wire.AppendStr(b, r.Name)
 		b = wire.AppendStr(b, r.CacheName)
+		b = wire.AppendStr(b, r.Path)
 	}
 	return b
 }
@@ -129,6 +132,7 @@ func decodeBinary(data []byte) (*message, error) {
 			OutputSizes: r.VarintMap(),
 			ExecNanos:   r.Varint(),
 			SetupNanos:  r.Varint(),
+			Stale:       r.Str(),
 		}}
 	default:
 		return nil, fmt.Errorf("unknown binary tag %d", data[0])
@@ -142,8 +146,7 @@ func decodeBinary(data []byte) (*message, error) {
 func readRefs(r *wire.Reader) []fileRefWire {
 	var refs []fileRefWire
 	for n := r.Uvarint(); n > 0 && r.Err == nil; n-- {
-		name := r.Str()
-		refs = append(refs, fileRefWire{Name: name, CacheName: r.Str()})
+		refs = append(refs, fileRefWire{Name: r.Str(), CacheName: r.Str(), Path: r.Str()})
 	}
 	return refs
 }

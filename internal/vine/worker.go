@@ -45,6 +45,9 @@ type Worker struct {
 	// fetch instead of racing a second writer onto the same cache path.
 	fetching map[CacheName]chan struct{}
 	stopped  bool
+	// stat looks up inputs read in place from shared storage: os.Stat,
+	// or in tests a worker that cannot see the mount.
+	stat func(string) (os.FileInfo, error)
 
 	// Elasticity: preemptible rides the registration hello into the
 	// scheduler; draining is set by Drain (provider preemption notice or
@@ -241,6 +244,7 @@ func NewWorker(addr string, options ...Option) (*Worker, error) {
 		cache:             make(map[CacheName]cacheEntry),
 		pins:              make(map[CacheName]int),
 		fetching:          make(map[CacheName]chan struct{}),
+		stat:              os.Stat,
 		lastUse:           make(map[CacheName]uint64),
 		libs:              make(map[string]*libraryInstance),
 		doneC:             make(chan struct{}),
@@ -920,15 +924,23 @@ func (w *Worker) execute(d *dispatchMsg) {
 	}
 
 	// Wire inputs: every input must already be in the local cache (the
-	// manager stages them before dispatch). All inputs are pinned for
-	// the duration of the execution so disk-pressure eviction cannot
-	// pull a file out from under a running task; the pins drop after the
-	// result message is enqueued.
+	// manager stages them before dispatch), or be a shared-storage path
+	// the call reads in place. All cached inputs are pinned for the
+	// duration of the execution so disk-pressure eviction cannot pull a
+	// file out from under a running task; the pins drop after the result
+	// message is enqueued.
 	inputs := make(map[string]string, len(d.Inputs))
 	var pinned []CacheName
+	var shared []fileRefWire
 	defer func() { w.unpin(pinned) }()
 	w.mu.Lock()
+	stat := w.stat
 	for _, in := range d.Inputs {
+		if in.Path != "" {
+			shared = append(shared, in)
+			inputs[in.Name] = in.Path
+			continue
+		}
 		name := CacheName(in.CacheName)
 		if _, ok := w.cache[name]; !ok {
 			w.mu.Unlock()
@@ -942,6 +954,31 @@ func (w *Worker) execute(d *dispatchMsg) {
 	}
 	w.mu.Unlock()
 
+	// A shared input must have the identity its name hashes before the
+	// call and still after it, or the result is discarded: a file that
+	// changed (or vanished) mid-read must not yield a result under its old
+	// name. The typed cause lets the manager tell a missing mount from a
+	// change at the source.
+	stale := func() bool {
+		for _, in := range shared {
+			fi, err := stat(in.Path)
+			if err == nil {
+				if cn, _, ok := nameOf(in.Path, fi); ok && cn == CacheName(in.CacheName) {
+					continue
+				}
+			}
+			w.sendMsg(&message{Type: msgTaskDone, TaskDone: &taskDoneMsg{
+				TaskID: d.TaskID, Stale: in.CacheName,
+				Error:     fmt.Sprintf("vine: shared input %q at %s is missing or no longer %s", in.Name, in.Path, in.CacheName),
+				ExecNanos: time.Since(start).Nanoseconds(),
+			}})
+			return true
+		}
+		return false
+	}
+	if stale() {
+		return
+	}
 	call := &Call{
 		Args:    d.Args,
 		state:   state,
@@ -950,11 +987,15 @@ func (w *Worker) execute(d *dispatchMsg) {
 		reader:  os.ReadFile,
 	}
 	execStart := time.Now()
-	if err := fn(call); err != nil {
+	err := fn(call)
+	execDur := time.Since(execStart)
+	if stale() {
+		return
+	}
+	if err != nil {
 		fail(fmt.Errorf("vine: %s/%s: %w", d.Library, d.Func, err))
 		return
 	}
-	execDur := time.Since(execStart)
 
 	// Persist outputs to the cache under their assigned cachenames.
 	outSizes := make(map[string]int64, len(d.Outputs))

@@ -4,6 +4,9 @@
 // bytes; a string-keyed map is a uvarint count and its pairs sorted by key,
 // so one map always encodes to the same bytes.
 //
+// Decoding is canonical too: a Reader refuses a varint with more bytes than
+// its value needs, so a record has exactly one encoding.
+//
 // Everything a Reader decodes is untrusted: a claimed count never sizes an
 // allocation (entries are appended as they parse, so a forged count costs
 // only what the input carries), and strings and byte slices are copied out
@@ -68,24 +71,41 @@ func (r *Reader) End() error {
 	return nil
 }
 
+// ErrNonMinimal reports a varint written with more bytes than its value
+// needs, such as 80 00 for 0. Accepting one would let two byte strings
+// decode to the same record.
+var ErrNonMinimal = errors.New("non-minimal varint")
+
 func (r *Reader) Varint() int64 {
 	v, n := binary.Varint(r.B)
-	if n <= 0 {
-		r.fail(ErrTruncated)
-		return 0
+	if r.advance(n) {
+		return v
 	}
-	r.B = r.B[n:]
-	return v
+	return 0
 }
 
 func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.B)
-	if n <= 0 {
+	if r.advance(n) {
+		return v
+	}
+	return 0
+}
+
+// advance consumes a varint of n bytes as binary.Uvarint or Varint
+// reported it. The encoders never end a multi-byte varint with a zero
+// byte, so one that does is refused.
+func (r *Reader) advance(n int) bool {
+	switch {
+	case n <= 0:
 		r.fail(ErrTruncated)
-		return 0
+		return false
+	case n > 1 && r.B[n-1] == 0:
+		r.fail(ErrNonMinimal)
+		return false
 	}
 	r.B = r.B[n:]
-	return v
+	return true
 }
 
 // Bool reads one byte that must be 0 or 1.
